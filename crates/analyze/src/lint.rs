@@ -13,7 +13,11 @@
 //!   entry rather than a silent pass);
 //! - **ambient RNG** (`thread_rng`, `from_entropy`, `OsRng`,
 //!   `rand::random`) — draws outside the keyed-stream discipline;
-//! - **`static mut`** — cross-thread mutable state with no ordering.
+//! - **`static mut`** — cross-thread mutable state with no ordering;
+//! - **process-wide state** — a `static` item of atomic, `Mutex`,
+//!   `RwLock` or `OnceLock` type is one knob shared by every thread, so
+//!   concurrent callers (tests, sweeps) race on it. Per-call state
+//!   belongs in arguments, per-thread state in `thread_local!`.
 //!
 //! [`scan_source`] is the pure core: it walks one file's lines, strips
 //! `//` comments, skips `#[cfg(test)]` items (test code may time and
@@ -56,6 +60,32 @@ pub const RULES: &[(&str, &[&str])] = &[
     ),
     ("static-mut", &["static mut"]),
 ];
+
+/// Rule name of the process-wide state check.
+pub const GLOBAL_STATE_RULE: &str = "global-state";
+
+/// `static` item types that make the item process-wide mutable state:
+/// these, plus every `Atomic*` type.
+const GLOBAL_STATE_TYPES: &[&str] = &["Mutex", "RwLock", "OnceLock"];
+
+/// The offending type when `line` declares a process-wide `static` item
+/// of atomic or lock type (`static mut` is the `static-mut` rule's).
+fn global_state_type(line: &str) -> Option<&str> {
+    let mut item = line.trim_start();
+    if let Some(rest) = item.strip_prefix("pub") {
+        item = rest.trim_start();
+        if item.starts_with('(') {
+            item = item[item.find(')')? + 1..].trim_start();
+        }
+    }
+    let rest = item.strip_prefix("static ")?;
+    if rest.trim_start().starts_with("mut ") {
+        return None;
+    }
+    let ty = rest.split_once(':')?.1.split('=').next()?;
+    ty.split(|c: char| !is_ident(c))
+        .find(|w| w.starts_with("Atomic") || GLOBAL_STATE_TYPES.contains(w))
+}
 
 /// One allowlist entry: findings under `path_prefix` whose rule matches
 /// `rule` (or `*`) are suppressed.
@@ -167,7 +197,23 @@ fn live_lines(source: &str) -> Vec<(usize, String)> {
 #[must_use]
 pub fn scan_source(path: &str, source: &str, allow: &[AllowEntry]) -> Vec<LintFinding> {
     let mut findings = Vec::new();
+    // Brace depth inside a `thread_local!` block, whose statics are
+    // per-thread and exempt from the process-wide state rule.
+    let mut thread_local_depth: i64 = 0;
     for (idx, line) in live_lines(source) {
+        let braces = line.matches('{').count() as i64 - line.matches('}').count() as i64;
+        if thread_local_depth > 0 || token_match(&line, "thread_local") {
+            thread_local_depth = (thread_local_depth + braces).max(0);
+        } else if let Some(ty) = global_state_type(&line) {
+            if !allowed(allow, path, GLOBAL_STATE_RULE) {
+                findings.push(LintFinding {
+                    path: path.to_string(),
+                    line: idx + 1,
+                    rule: GLOBAL_STATE_RULE,
+                    token: ty.to_string(),
+                });
+            }
+        }
         for (rule, tokens) in RULES {
             if allowed(allow, path, rule) {
                 continue;
@@ -405,6 +451,43 @@ mod tests {
             rules_hit("static mut COUNTER: u64 = 0;"),
             vec!["static-mut"]
         );
+    }
+
+    #[test]
+    fn flags_process_wide_statics_of_atomic_and_lock_types() {
+        for src in [
+            "static THREADS: AtomicUsize = AtomicUsize::new(0);",
+            "pub(crate) static LOCK: Mutex<()> = Mutex::new(());",
+            "pub static CACHE: std::sync::OnceLock<u64> = OnceLock::new();",
+            "static TABLE: RwLock<Vec<u8>> = RwLock::new(Vec::new());",
+            "    static ACTIVE: std::sync::atomic::AtomicBool = AtomicBool::new(false);",
+        ] {
+            assert_eq!(rules_hit(src), vec![GLOBAL_STATE_RULE], "{src}");
+        }
+        let found = scan_source("crates/x/src/lib.rs", "static N: AtomicU64 = x;", &[]);
+        assert_eq!(found[0].token, "AtomicU64");
+        // Immutable statics, consts, `static mut` (its own rule) and
+        // per-thread state are not process-wide mutable state.
+        assert!(rules_hit("static NAMES: &[&str] = &[\"a\"];").is_empty());
+        assert!(rules_hit("const ZERO: AtomicUsize = AtomicUsize::new(0);").is_empty());
+        assert_eq!(rules_hit("static mut N: AtomicU8 = x;"), vec!["static-mut"]);
+        let thread_local = "\
+thread_local! {
+    static WIDTH: Cell<usize> = const { Cell::new(0) };
+    static LOCAL: Mutex<u8> = Mutex::new(0);
+}
+thread_local!(static ONE: AtomicUsize = AtomicUsize::new(0));
+static AFTER: AtomicUsize = AtomicUsize::new(0);
+";
+        let found = scan_source("crates/x/src/lib.rs", thread_local, &[]);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].line, 6);
+        // Test code may keep counters, and the allowlist applies.
+        assert!(
+            rules_hit("#[cfg(test)]\nstatic HITS: AtomicUsize = AtomicUsize::new(0);").is_empty()
+        );
+        let allow = parse_allowlist("crates/x/ global-state\n");
+        assert!(scan_source("crates/x/src/lib.rs", "static A: AtomicBool = x;", &allow).is_empty());
     }
 
     #[test]

@@ -455,7 +455,7 @@ pub fn run_spmd<P: BspProgram>(
         );
         resolve_exchange_into(
             &cfg.params,
-            &cfg.placement,
+            &placement,
             &headers,
             &mut net,
             &mut ex_jitter,
@@ -484,7 +484,7 @@ pub fn run_spmd<P: BspProgram>(
         );
         resolve_exchange_into(
             &cfg.params,
-            &cfg.placement,
+            &placement,
             &replies,
             &mut net,
             &mut ex_jitter,
@@ -492,16 +492,16 @@ pub fn run_spmd<P: BspProgram>(
             &mut r2,
         );
 
-        // Phase 3: synchronize. Under a fault model the sync runs on the
-        // faulty executor (same stream label and rep, so a zero-fault
-        // model reproduces the healthy path bit-for-bit). A sync that
-        // not every process completes aborts the run with the survivor
-        // set under `FailFast`, or triggers a shrink below under
+        // Phase 3: synchronize. Under a fault model the sync runs the
+        // fault policy (same stream label and rep, so a zero-fault model
+        // reproduces the healthy path bit-for-bit). A sync that not
+        // every process completes aborts the run with the survivor set
+        // under `FailFast`, or triggers a shrink below under
         // `ShrinkAndContinue`.
         let mut sync_failure: Option<hpm_simnet::faults::FaultReport> = None;
         let barrier_exit = match &compiled_sync {
-            Some(plan) if !cfg.fault.is_none() => {
-                let report = sim.run_once_faulty(
+            Some(plan) => {
+                let report = sim.run_once(
                     plan,
                     &payload,
                     &cfg.fault,
@@ -520,21 +520,8 @@ pub fn run_spmd<P: BspProgram>(
                             survivors: report.survivors(),
                         });
                     }
-                    sync_failure = Some(report);
+                    sync_failure = Some(report.clone());
                 }
-                sync_scratch.exits().to_vec()
-            }
-            Some(plan) => {
-                sim.run_once_batched(
-                    plan,
-                    &payload,
-                    &compute_end,
-                    &mut net,
-                    cfg.seed,
-                    SYNC_JITTER_LABEL,
-                    step as u64,
-                    &mut sync_scratch,
-                );
                 sync_scratch.exits().to_vec()
             }
             None => compute_end.clone(),
@@ -1285,6 +1272,74 @@ mod tests {
         }
         assert_eq!(res.programs.len(), nprocs, "result spans the survivors");
         assert!(res.total_time > res.recoveries[0].detection_time);
+    }
+
+    /// A ring of `bytes`-sized puts, one per superstep for `steps`
+    /// supersteps.
+    struct PutRing {
+        step: usize,
+        steps: usize,
+        bytes: usize,
+        buf: Option<RegHandle>,
+    }
+
+    impl BspProgram for PutRing {
+        fn superstep(&mut self, ctx: &mut BspCtx) -> StepOutcome {
+            if self.step == 0 {
+                let h = ctx.alloc(self.bytes);
+                ctx.push_reg(h);
+                self.buf = Some(h);
+            } else if self.step <= self.steps {
+                let dst = (ctx.pid() + 1) % ctx.nprocs();
+                let data = vec![ctx.pid() as u8; self.bytes];
+                ctx.put(dst, self.buf.expect("allocated"), 0, &data);
+            } else {
+                return StepOutcome::Halt;
+            }
+            self.step += 1;
+            StepOutcome::Continue
+        }
+    }
+
+    /// After a shrink, exchanges are classified by the rebuilt placement.
+    /// Nine round-robin ranks span two nodes of `cluster_8x2x4`; any
+    /// shrink leaves at most eight, all on one node, so every later put
+    /// is a same-node message and lands well within one remote wire
+    /// latency of the last compute end. Classified by the pre-shrink
+    /// layout instead, half the ring would pay the remote link.
+    #[test]
+    fn exchanges_after_a_shrink_use_the_rebuilt_placement() {
+        use hpm_stats::fault::DropProb;
+        let mut cfg = config(9);
+        cfg.seed = 2;
+        cfg.recovery = RecoveryPolicy::ShrinkAndContinue;
+        cfg.fault = FaultModel {
+            drop: DropProb::uniform(0.02),
+            max_retries: 0,
+            timeout: 2e-5,
+            ..FaultModel::NONE
+        };
+        let make = |_| PutRing {
+            step: 0,
+            steps: 20,
+            bytes: 4096,
+            buf: None,
+        };
+        let res = run_spmd(&cfg, make).expect("survivors complete the run");
+        let first = res.recoveries.first().expect("the run must shrink");
+        let mut checked = 0;
+        for tr in &res.supersteps[first.superstep + 1..] {
+            let last_compute = tr.compute_end.iter().copied().fold(0.0, f64::max);
+            for (i, &recv) in tr.recv_complete.iter().enumerate() {
+                assert!(
+                    recv - last_compute < cfg.params.remote.latency,
+                    "rank {i}: inbound data took {:e} s past the last compute end",
+                    recv - last_compute
+                );
+            }
+            checked += usize::from(tr.ops > 0);
+        }
+        assert!(checked > 0, "no post-shrink superstep moved data");
     }
 
     /// With no faults configured, the recovery policy is inert: both

@@ -15,54 +15,55 @@
 //! unsafe code — each worker collects `(index, value)` pairs privately and
 //! the results are scattered back into input order after the join.
 //!
-//! The fan-out width is a process-wide setting ([`set_threads`] /
-//! [`threads`]) so that deep call chains (an experiment sweep calling the
-//! microbenchmark calling the barrier executor) need not thread a
-//! configuration value through every signature; nested `par_map_indexed`
-//! calls simply run their inner items on the calling worker.
+//! The fan-out width is a per-thread setting ([`set_threads`] /
+//! [`threads`]) of the thread that starts a fan-out, so that deep call
+//! chains (an experiment sweep calling the microbenchmark calling the
+//! barrier executor) need not thread a configuration value through every
+//! signature, and concurrent callers — tests pinning different widths —
+//! cannot see each other's setting. Workers mark themselves as inside a
+//! fan-out, so nested `par_map_indexed` calls run their inner items on
+//! the calling worker. No process-wide mutable state exists.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Process-wide fan-out width; 0 means "not set, use the hardware".
-static THREADS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// This thread's fan-out width; 0 means "not set, use the hardware".
+    static THREADS: Cell<usize> = const { Cell::new(0) };
+    /// Set on fan-out workers, so nested calls stay serial instead of
+    /// oversubscribing.
+    static ACTIVE: Cell<bool> = const { Cell::new(false) };
+}
 
-/// Serializes [`with_threads`] scopes so concurrent callers (e.g. tests
-/// pinning different widths) cannot race on the global setting.
-static WIDTH_LOCK: Mutex<()> = Mutex::new(());
-
-/// Set when a worker is already inside a fan-out, so nested calls stay
-/// serial instead of oversubscribing.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-/// Sets the process-wide fan-out width. `None` (the default) means one
-/// worker per available hardware thread; `Some(1)` forces serial
+/// Sets the calling thread's fan-out width. `None` (the default) means
+/// one worker per available hardware thread; `Some(1)` forces serial
 /// execution. Results are identical either way — this knob trades wall
 /// clock for cores, never numbers.
 pub fn set_threads(n: Option<usize>) {
-    THREADS.store(n.map_or(0, |n| n.max(1)), Ordering::SeqCst);
+    THREADS.with(|t| t.set(n.map_or(0, |n| n.max(1))));
 }
 
-/// Runs `f` with the fan-out width pinned to `n`, restoring the previous
-/// setting afterwards (also on panic). Scopes are serialized process-wide,
-/// so concurrent callers — tests comparing serial against parallel runs,
-/// say — cannot clobber each other's width mid-measurement.
+/// Runs `f` with the calling thread's fan-out width pinned to `n`,
+/// restoring the previous setting afterwards (also on panic). Other
+/// threads keep their own width, so concurrent callers — tests comparing
+/// serial against parallel runs, say — cannot clobber each other's width
+/// mid-measurement.
 pub fn with_threads<R>(n: Option<usize>, f: impl FnOnce() -> R) -> R {
     struct Restore(usize);
     impl Drop for Restore {
         fn drop(&mut self) {
-            THREADS.store(self.0, Ordering::SeqCst);
+            THREADS.with(|t| t.set(self.0));
         }
     }
-    let _guard = WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = Restore(THREADS.load(Ordering::SeqCst));
+    let _restore = Restore(THREADS.with(Cell::get));
     set_threads(n);
     f()
 }
 
-/// The fan-out width [`par_map_indexed`] will use right now.
+/// The fan-out width [`par_map_indexed`] will use right now on the
+/// calling thread.
 pub fn threads() -> usize {
-    match THREADS.load(Ordering::SeqCst) {
+    match THREADS.with(Cell::get) {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
@@ -112,7 +113,7 @@ where
     // Serial fast path: no items, one worker, or already inside a fan-out
     // (nested parallelism would oversubscribe without speeding anything
     // up — the outer level owns the cores).
-    if workers <= 1 || ACTIVE.swap(true, Ordering::SeqCst) {
+    if workers <= 1 || ACTIVE.with(Cell::get) {
         if n == 0 {
             return Vec::new();
         }
@@ -125,6 +126,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
+                    ACTIVE.with(|a| a.set(true));
                     let mut state = init();
                     let mut local: Vec<(usize, U)> = Vec::new();
                     loop {
@@ -141,14 +143,10 @@ where
         for h in handles {
             match h.join() {
                 Ok(part) => parts.push(part),
-                Err(payload) => {
-                    ACTIVE.store(false, Ordering::SeqCst);
-                    std::panic::resume_unwind(payload);
-                }
+                Err(payload) => std::panic::resume_unwind(payload),
             }
         }
     });
-    ACTIVE.store(false, Ordering::SeqCst);
     let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
     for (k, v) in parts.into_iter().flatten() {
         debug_assert!(slots[k].is_none(), "index {k} produced twice");
@@ -285,15 +283,33 @@ mod tests {
 
     #[test]
     fn threads_setting_round_trips() {
-        let before = THREADS.load(Ordering::SeqCst);
+        let before = THREADS.with(Cell::get);
         with_threads(Some(3), || assert_eq!(threads(), 3));
-        assert_eq!(THREADS.load(Ordering::SeqCst), before, "width restored");
+        assert_eq!(THREADS.with(Cell::get), before, "width restored");
         assert!(threads() >= 1);
+    }
+
+    /// Widths are per thread: a width pinned on one thread is invisible
+    /// to another, and each worker of a fan-out sees itself as nested.
+    #[test]
+    fn width_is_thread_local_and_workers_nest_serially() {
+        with_threads(Some(3), || {
+            let other = std::thread::spawn(threads).join().expect("join");
+            assert_eq!(other, threads_default());
+            assert_eq!(threads(), 3);
+            let nested = par_map_indexed(4, |_| ACTIVE.with(Cell::get));
+            assert_eq!(nested, vec![true; 4], "workers are marked active");
+        });
+        assert!(!ACTIVE.with(Cell::get), "the caller is never marked active");
+    }
+
+    fn threads_default() -> usize {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     }
 
     #[test]
     fn panic_propagates_and_width_is_restored() {
-        let before = THREADS.load(Ordering::SeqCst);
+        let before = THREADS.with(Cell::get);
         let r = std::panic::catch_unwind(|| {
             with_threads(Some(2), || {
                 par_map_indexed(8, |k| {
@@ -305,6 +321,6 @@ mod tests {
             })
         });
         assert!(r.is_err());
-        assert_eq!(THREADS.load(Ordering::SeqCst), before, "width restored");
+        assert_eq!(THREADS.with(Cell::get), before, "width restored");
     }
 }

@@ -1,45 +1,29 @@
-//! The Fig. 5.5 staged barrier executor.
+//! The healthy entry points of the Fig. 5.5 staged barrier executor.
 //!
-//! The thesis' barrier simulator drives an arbitrary pattern through
-//! `MPI_Startall`/`MPI_Waitall` per stage; the equivalent here executes
-//! each stage against the message engine: every process pays the call
-//! overhead, issues its signal vector as serial acknowledged round trips,
-//! and leaves the stage when its own sends are acknowledged and its
-//! expected receives are processed.
-//!
-//! The executor follows the compile-then-execute split of the flat
-//! simulation core (see DESIGN.md): patterns are compiled once into
-//! [`CompiledPattern`] CSR form, and every execution runs over a caller-
-//! owned [`SimScratch`] — after warmup, [`BarrierSim::run_once_compiled`]
-//! performs zero heap allocations per repetition. The generic
-//! [`BarrierSim::run_once`]/[`BarrierSim::run_total`] wrappers keep the
-//! old one-shot API for callers off the hot path.
-//!
-//! Stochastics come in through a [`JitterSource`]: the `*_compiled`
-//! entry points accept any source, and the `*_batched` entry points
-//! batch-fill the scratch's [`JitterBuf`] with exactly
-//! [`CompiledPattern::jitter_draws`] multipliers from a counter-based
-//! stream keyed by `(seed, label, rep)` before executing — the stage
-//! loop then touches no RNG at all. [`BarrierSim::measure`] goes one
-//! step further and runs repetitions in SoA lanes on the
-//! [`crate::batch::LaneScratch`] executor; because every repetition's
-//! multipliers come from its own `(seed, rep)` stream, the samples are
-//! identical however repetitions are grouped into lanes or threads.
+//! Per stage every process pays the call overhead, issues its signals as
+//! serial acknowledged round trips, and leaves when its sends are
+//! acknowledged and its expected receives processed — the stage kernel
+//! of [`crate::batch`]. Patterns are compiled once into CSR form; runs
+//! reuse caller-owned scratch ([`SimScratch`] at width 1, [`LaneScratch`]
+//! for lane batches) and allocate nothing after warmup. Every repetition
+//! owns its jitter stream `(seed, label, rep)`, so samples are identical
+//! however repetitions are grouped into lanes or threads.
 
-use crate::batch::LaneScratch;
+use crate::batch::{Healthy, Kernel, LaneScratch, Stages};
+use crate::faults::{FaultReport, FaultScratch, RankOutcome};
 use crate::net::NetState;
 use crate::params::PlatformParams;
 use hpm_core::pattern::CommPattern;
 use hpm_core::plan::CompiledPattern;
 use hpm_core::predictor::PayloadSchedule;
-use hpm_stats::rng::{JitterBuf, JitterSource, ScalarJitter};
+use hpm_stats::fault::FaultModel;
+use hpm_stats::rng::JitterBuf;
 use hpm_topology::Placement;
-use rand::rngs::StdRng;
 
 /// Stream label of the staged barrier executor's jitter tables: every
 /// repetition `r` of a measurement with seed `s` fills from the stream
-/// `(s, BARRIER_JITTER_LABEL, r)`, whether it runs scalar-batched or as
-/// one lane of the SoA executor.
+/// `(s, BARRIER_JITTER_LABEL, r)`, whether it runs alone or as one lane
+/// of a batch.
 pub const BARRIER_JITTER_LABEL: u64 = 0x4241_5252; // "BARR"
 
 /// Lanes per batch of [`BarrierSim::measure`]. A tuning knob, not a
@@ -58,11 +42,6 @@ impl BarrierMeasurement {
     /// Arithmetic mean of the per-run worst-case times — the statistic of
     /// Figs. 5.6/5.10 ("worst-case times were collected from 256 runs …
     /// and the arithmetic mean of these is reported").
-    ///
-    /// Computed directly from the samples slice; `hpm_stats::mean` steps
-    /// the same Welford recurrence as `Summary`, so the value is
-    /// bit-identical to the old build-a-`Summary` path without its
-    /// insertion-sorted copy.
     pub fn mean(&self) -> f64 {
         hpm_stats::mean(&self.samples)
     }
@@ -74,50 +53,36 @@ impl BarrierMeasurement {
     }
 }
 
-/// Reusable per-execution buffers of the staged executor: stage entry and
-/// exit times, library-posted times and inbound-arrival accumulators.
+/// Reusable state of single (width-1) runs: the kernel's stage times,
+/// the jitter table, the fault layer's bookkeeping and the report of the
+/// most recent run.
 ///
 /// One scratch serves any pattern over its placement's process count;
-/// carry it across stages, repetitions and supersteps (the measurement
-/// loop keeps one per worker) so the executor's inner loop never touches
-/// the allocator.
-#[derive(Debug, Clone)]
+/// carry it across stages, repetitions and supersteps so the kernel
+/// never touches the allocator.
+#[derive(Debug, Clone, Default)]
 pub struct SimScratch {
-    /// Entry times of the current stage; holds the final exits after a
-    /// run ([`SimScratch::exits`]).
-    pub(crate) cur: Vec<f64>,
-    /// Exit times being accumulated for the current stage.
-    pub(crate) nxt: Vec<f64>,
-    /// Per-process library-posted times within one stage.
-    pub(crate) posted: Vec<f64>,
-    /// Per-process latest inbound-signal processing time within one stage.
-    pub(crate) last_arrival: Vec<f64>,
-    /// Jitter table of the `*_batched` entry points, refilled per run
-    /// (the allocation is reused across fills).
+    pub(crate) stages: Stages,
     pub(crate) jitter: JitterBuf,
+    pub(crate) fault: FaultScratch,
+    pub(crate) report: FaultReport,
 }
 
 impl SimScratch {
     /// Scratch sized for a placement's process count.
     pub fn new(placement: &Placement) -> SimScratch {
-        let p = placement.nprocs();
-        SimScratch {
-            cur: vec![0.0; p],
-            nxt: vec![0.0; p],
-            posted: vec![0.0; p],
-            last_arrival: vec![0.0; p],
-            jitter: JitterBuf::new(),
-        }
+        let mut scratch = SimScratch::default();
+        scratch.stages.ensure(placement.nprocs(), 1);
+        scratch
     }
 
     /// Per-process exit times of the most recent run.
     pub fn exits(&self) -> &[f64] {
-        &self.cur
+        &self.stages.cur
     }
 
-    /// The jitter table of the most recent `*_batched` run — lets audit
-    /// tests compare [`JitterBuf::consumed`] against the plan's
-    /// reported draw count.
+    /// The jitter table of the most recent run — lets audit tests compare
+    /// [`JitterBuf::consumed`] against the plan's reported draw count.
     pub fn jitter(&self) -> &JitterBuf {
         &self.jitter
     }
@@ -136,213 +101,54 @@ impl<'a> BarrierSim<'a> {
         BarrierSim { params, placement }
     }
 
-    /// Runs one execution from per-process entry times; returns exit times.
+    /// One run of a compiled pattern from per-process entry times, with
+    /// jitter from the stream `(seed, label, rep)`; read the exit times
+    /// from [`SimScratch::exits`]. Callers own the stream naming: the
+    /// BSPlib sync labels per run and uses the superstep index as `rep`.
     ///
     /// `net` carries NIC/receiver queues across calls, so consecutive
-    /// barriers in a superstep share contention state.
-    ///
-    /// One-shot convenience: compiles the pattern and allocates scratch
-    /// per call. Hot paths compile once and use
-    /// [`BarrierSim::run_once_compiled`].
-    pub fn run_once<P: CommPattern + ?Sized>(
-        &self,
-        pattern: &P,
-        payload: &PayloadSchedule,
-        entry: &[f64],
-        net: &mut NetState,
-        rng: &mut StdRng,
-    ) -> Vec<f64> {
-        let plan = pattern.plan();
-        let mut scratch = SimScratch::new(self.placement);
-        let mut jit = ScalarJitter::new(self.params.jitter, rng);
-        self.run_once_compiled(&plan, payload, entry, net, &mut jit, &mut scratch);
-        // The scalar twin of the batched consumed-vs-planned audit
-        // (`JitterBuf::consumed`): the adapter counts draw slots, so
-        // plan/executor divergence cannot stay silent on this path
-        // either.
-        debug_assert_eq!(
-            jit.drawn(),
-            plan.jitter_draws(),
-            "scalar executor consumed a different draw count than the plan reports"
-        );
-        scratch.exits().to_vec()
-    }
-
-    /// Runs one execution of a compiled pattern from per-process entry
-    /// times, entirely within `scratch`; read the exit times from
-    /// [`SimScratch::exits`]. Performs no heap allocation.
-    pub fn run_once_compiled<J: JitterSource>(
-        &self,
-        plan: &CompiledPattern,
-        payload: &PayloadSchedule,
-        entry: &[f64],
-        net: &mut NetState,
-        jit: &mut J,
-        scratch: &mut SimScratch,
-    ) {
-        let p = plan.p();
-        assert_eq!(entry.len(), p, "entry vector length");
-        scratch.cur.copy_from_slice(entry);
-        self.run_stages(plan, payload, net, jit, scratch);
-    }
-
-    /// [`BarrierSim::run_once_compiled`] on the batched jitter engine:
-    /// fills the scratch's [`JitterBuf`] with the plan's exact draw
-    /// count from the stream `(seed, label, rep)` and executes over it —
-    /// the stage loop consumes multipliers by cursor only. Callers own
-    /// the stream naming: the BSPlib sync labels per run and uses the
-    /// superstep index as `rep`, the measurement loop uses
-    /// [`BARRIER_JITTER_LABEL`] and the repetition index.
+    /// communication in a superstep shares contention state. A
+    /// [`FaultModel::is_none`] model runs the healthy kernel; any other
+    /// runs the fault policy with faults realized from `(seed, rep)` (see
+    /// [`BarrierSim::measure_faulty`]). Either way the returned report
+    /// holds every rank's outcome — all `Completed` on the healthy path.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_once_batched(
+    pub fn run_once<'s>(
         &self,
         plan: &CompiledPattern,
         payload: &PayloadSchedule,
+        fault: &FaultModel,
         entry: &[f64],
         net: &mut NetState,
         seed: u64,
         label: u64,
         rep: u64,
-        scratch: &mut SimScratch,
-    ) {
-        let mut jit = std::mem::take(&mut scratch.jitter);
-        jit.fill(
-            self.params.jitter.sigma,
-            seed,
-            label,
-            rep,
-            plan.jitter_draws(),
-        );
-        self.run_once_compiled(plan, payload, entry, net, &mut jit, scratch);
-        scratch.jitter = jit;
-    }
-
-    /// Stage loop shared by the compiled entry points; expects the entry
-    /// times in `scratch.cur` and leaves the final exits there.
-    fn run_stages<J: JitterSource>(
-        &self,
-        plan: &CompiledPattern,
-        payload: &PayloadSchedule,
-        net: &mut NetState,
-        jit: &mut J,
-        scratch: &mut SimScratch,
-    ) {
-        assert_eq!(self.placement.nprocs(), plan.p(), "placement process count");
-        for s in 0..plan.stages() {
-            self.run_stage(plan, payload, s, net, jit, scratch);
-            std::mem::swap(&mut scratch.cur, &mut scratch.nxt);
-        }
-    }
-
-    fn run_stage<J: JitterSource>(
-        &self,
-        plan: &CompiledPattern,
-        payload: &PayloadSchedule,
-        s: usize,
-        net: &mut NetState,
-        jit: &mut J,
-        scratch: &mut SimScratch,
-    ) {
+        scratch: &'s mut SimScratch,
+    ) -> &'s FaultReport {
         let p = plan.p();
-        let stage = plan.stage(s);
-        let bytes = payload.bytes(s);
-        let SimScratch {
-            cur,
-            nxt,
-            posted,
-            last_arrival,
-            ..
-        } = scratch;
-        // Every process calls into the library: posted time = entry + call
-        // overhead; from then on its receives are posted.
-        for (post, &e) in posted.iter_mut().zip(cur.iter()) {
-            *post = e + self.params.call_overhead * jit.next_mult();
+        if !fault.is_none() {
+            let stream = (seed, label, rep);
+            self.run_faulty(plan, payload, fault, None, entry, net, stream, scratch);
+            return &scratch.report;
         }
-        nxt.copy_from_slice(posted);
-        // last_arrival[j] accumulates processing times of j's inbound
-        // signals.
-        last_arrival.fill(f64::NEG_INFINITY);
-        for i in 0..p {
-            let mut t = posted[i];
-            for &j in stage.dsts(i) {
-                let (ack, processed) = net.signal_round_trip(
-                    self.params,
-                    self.placement,
-                    jit,
-                    i,
-                    j,
-                    t,
-                    bytes,
-                    posted[j],
-                );
-                t = ack;
-                if processed > last_arrival[j] {
-                    last_arrival[j] = processed;
-                }
-            }
-            if t > nxt[i] {
-                nxt[i] = t;
-            }
+        assert_eq!(entry.len(), p, "entry vector length");
+        scratch.stages.ensure(p, 1);
+        scratch.stages.cur[..p].copy_from_slice(entry);
+        self.run_healthy(plan, payload, None, net, (seed, label, rep), scratch);
+        let report = &mut scratch.report;
+        report.reset(p);
+        for (out, &t) in report.outcomes.iter_mut().zip(&scratch.stages.cur) {
+            *out = RankOutcome::Completed(t);
         }
-        for j in 0..p {
-            if last_arrival[j] > nxt[j] {
-                nxt[j] = last_arrival[j];
-            }
-        }
+        report
     }
 
-    /// One complete run from a cold start; returns the worst-case (max)
-    /// completion time. One-shot convenience over
-    /// [`BarrierSim::run_total_compiled`].
-    pub fn run_total<P: CommPattern + ?Sized>(
-        &self,
-        pattern: &P,
-        payload: &PayloadSchedule,
-        rng: &mut StdRng,
-    ) -> f64 {
-        let mut net = NetState::new(self.placement);
-        let mut scratch = SimScratch::new(self.placement);
-        let mut jit = ScalarJitter::new(self.params.jitter, rng);
-        let plan = pattern.plan();
-        let total = self.run_total_compiled(&plan, payload, &mut jit, &mut net, &mut scratch);
-        debug_assert_eq!(
-            jit.drawn(),
-            plan.jitter_draws(),
-            "scalar executor consumed a different draw count than the plan reports"
-        );
-        total
-    }
-
-    /// One complete run of a compiled pattern from a cold start over
-    /// caller-owned network state and scratch; returns the worst-case
-    /// (max) completion time. Resets `net` itself (a reset queue is
-    /// indistinguishable from a fresh one), so repetitions reusing one
-    /// `(net, scratch)` pair are bit-identical to cold-state runs —
-    /// and allocation-free.
-    pub fn run_total_compiled<J: JitterSource>(
-        &self,
-        plan: &CompiledPattern,
-        payload: &PayloadSchedule,
-        jit: &mut J,
-        net: &mut NetState,
-        scratch: &mut SimScratch,
-    ) -> f64 {
-        net.reset();
-        scratch.cur.fill(0.0);
-        self.run_stages(plan, payload, net, jit, scratch);
-        scratch
-            .exits()
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// [`BarrierSim::run_total_compiled`] on the batched jitter engine:
-    /// one cold-start repetition whose multipliers fill from the stream
-    /// `(seed, BARRIER_JITTER_LABEL, rep)`. Repetition `rep` of this
-    /// entry point is bit-identical to lane `rep - first_rep` of
-    /// [`BarrierSim::run_batch_compiled`] — the lane executor performs
-    /// the same arithmetic on the same multipliers, just strided.
+    /// One cold-start repetition of a compiled pattern — `net` is reset
+    /// first, every rank enters at zero — with multipliers from the
+    /// stream `(seed, BARRIER_JITTER_LABEL, rep)`; returns the worst-case
+    /// (max) completion time. Repetition `rep` is bit-identical to lane
+    /// `rep - first_rep` of [`BarrierSim::run_batch_compiled`], and
+    /// repetitions reusing one `(net, scratch)` pair are allocation-free.
     pub fn run_total_batched(
         &self,
         plan: &CompiledPattern,
@@ -352,32 +158,47 @@ impl<'a> BarrierSim<'a> {
         net: &mut NetState,
         scratch: &mut SimScratch,
     ) -> f64 {
-        let mut jit = std::mem::take(&mut scratch.jitter);
-        jit.fill(
-            self.params.jitter.sigma,
-            seed,
-            BARRIER_JITTER_LABEL,
-            rep,
-            plan.jitter_draws(),
-        );
-        let total = self.run_total_compiled(plan, payload, &mut jit, net, scratch);
-        scratch.jitter = jit;
-        total
+        net.reset();
+        let p = plan.p();
+        scratch.stages.ensure(p, 1);
+        scratch.stages.cur[..p].fill(0.0);
+        let stream = (seed, BARRIER_JITTER_LABEL, rep);
+        self.run_healthy(plan, payload, None, net, stream, scratch);
+        scratch.stages.cur[..p]
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Repeated runs with independent jitter streams, in SoA lanes.
-    ///
-    /// Repetitions execute [`MEASURE_LANES`] at a time on the
-    /// lane-parallel executor: each batch fills one draw-major jitter
-    /// table (lane `l` from the stream `(seed, BARRIER_JITTER_LABEL,
-    /// rep)`) in a single tight pass and then runs every lane's
-    /// repetition simultaneously over SoA state. Because a repetition's
-    /// multipliers depend only on `(seed, rep)` and the per-lane
-    /// arithmetic is the scalar recurrence verbatim, the samples are
-    /// bit-identical to one-at-a-time [`BarrierSim::run_total_batched`]
-    /// runs — at any lane width and any [`hpm_par`] thread count. The
-    /// pattern is compiled once and each worker carries one
-    /// [`LaneScratch`] across its batches.
+    /// A healthy width-1 run from the entry times in `scratch`, leaving
+    /// the exits there; `ranks` maps plan ranks to placement ranks.
+    pub(crate) fn run_healthy(
+        &self,
+        plan: &CompiledPattern,
+        payload: &PayloadSchedule,
+        ranks: Option<&[usize]>,
+        net: &mut NetState,
+        stream: (u64, u64, u64),
+        scratch: &mut SimScratch,
+    ) {
+        let kernel = Kernel {
+            sim: *self,
+            plan,
+            payload,
+            ranks,
+            lanes: 1,
+            stream,
+        };
+        let SimScratch { stages, jitter, .. } = scratch;
+        kernel.run(stages, net, jitter, &mut Healthy);
+    }
+
+    /// Repeated cold-start runs with independent jitter streams, in
+    /// lanes: repetitions execute [`MEASURE_LANES`] at a time through
+    /// [`BarrierSim::run_batch_compiled`], fanned out on [`hpm_par`] with
+    /// one [`LaneScratch`] per worker. Sample `r` is bit-identical to
+    /// [`BarrierSim::run_total_batched`] at `rep = r`, at any lane width
+    /// and any thread count.
     pub fn measure<P: CommPattern + ?Sized + Sync>(
         &self,
         pattern: &P,
@@ -391,8 +212,7 @@ impl<'a> BarrierSim<'a> {
     /// [`BarrierSim::measure`] over an already-compiled pattern — the
     /// entry point of the scale path, where patterns are authored
     /// sparsely (see `StagePlan::from_edges`) and a dense intermediate
-    /// would dwarf the simulation state. Identical samples to
-    /// [`BarrierSim::measure`] on the pattern the plan was compiled from.
+    /// would dwarf the simulation state.
     pub fn measure_compiled(
         &self,
         plan: &CompiledPattern,
@@ -419,7 +239,7 @@ mod tests {
     use crate::params::xeon_cluster_params;
     use hpm_core::matrix::IMat;
     use hpm_core::pattern::BarrierPattern;
-    use hpm_stats::rng::derive_rng;
+    use hpm_stats::fault::FaultModel;
     use hpm_topology::{cluster_8x2x4, PlacementPolicy};
 
     fn linear(p: usize) -> BarrierPattern {
@@ -563,32 +383,62 @@ mod tests {
         let params = xeon_cluster_params().noiseless();
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 16);
         let sim = BarrierSim::new(&params, &placement);
-        let pat = dissemination(16);
-        let mut rng = derive_rng(9, 0);
+        let plan = dissemination(16).plan();
         let mut net = NetState::new(&placement);
-        let base = sim
-            .run_once(
-                &pat,
+        let mut scratch = SimScratch::new(&placement);
+        let mut run = |entry: &[f64]| {
+            net.reset();
+            sim.run_once(
+                &plan,
                 &PayloadSchedule::none(),
-                &[0.0; 16],
+                &FaultModel::NONE,
+                entry,
                 &mut net,
-                &mut rng,
+                9,
+                BARRIER_JITTER_LABEL,
+                0,
+                &mut scratch,
             )
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
+            .total()
+        };
+        let base = run(&[0.0; 16]);
         let mut entry = vec![0.0; 16];
         entry[7] = 500e-6;
-        net.reset();
-        let mut rng2 = derive_rng(9, 0);
-        let delayed = sim
-            .run_once(&pat, &PayloadSchedule::none(), &entry, &mut net, &mut rng2)
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
+        let delayed = run(&entry);
         assert!(
             delayed >= base + 400e-6,
             "delay must propagate: base {base}, delayed {delayed}"
         );
+    }
+
+    /// A healthy single run is a cold-start repetition when entered at
+    /// zero: `run_once` under `FaultModel::NONE` and `run_total_batched`
+    /// agree bitwise, and the report holds every exit as `Completed`.
+    #[test]
+    fn healthy_run_once_matches_cold_start_repetition() {
+        let params = xeon_cluster_params();
+        let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 24);
+        let sim = BarrierSim::new(&params, &placement);
+        let plan = dissemination(24).plan();
+        let payload = PayloadSchedule::dissemination_count_map(24);
+        let mut net = NetState::new(&placement);
+        let mut scratch = SimScratch::new(&placement);
+        for rep in 0..4u64 {
+            let cold = sim.run_total_batched(&plan, &payload, 5, rep, &mut net, &mut scratch);
+            net.reset();
+            let report = sim.run_once(
+                &plan,
+                &payload,
+                &FaultModel::NONE,
+                &[0.0; 24],
+                &mut net,
+                5,
+                BARRIER_JITTER_LABEL,
+                rep,
+                &mut scratch,
+            );
+            assert!(report.all_completed());
+            assert_eq!(report.total().to_bits(), cold.to_bits(), "rep {rep}");
+        }
     }
 }

@@ -1,65 +1,269 @@
-//! The lane-parallel repetition executor: L independent barrier
-//! repetitions advanced together over structure-of-arrays state.
+//! The stage kernel: the one executor of the Fig. 5.5 stage recurrence,
+//! over lane-major state and behind one fault-policy seam.
 //!
-//! A measurement is hundreds of repetitions of the same compiled
-//! pattern, differing only in their jitter multipliers. The scalar
-//! executor walks them one at a time, paying the full pattern traversal
-//! (stage bookkeeping, CSR walks, link-class lookups) per repetition.
-//! This executor amortizes the traversal: every per-process time in
-//! [`crate::barrier::SimScratch`] becomes a *lane vector* of L values
-//! (`state[i·L + l]` = rank `i` in repetition `l`), the pattern is
-//! walked once per batch, and each edge updates all L lanes in a short
-//! contiguous loop of identical straight-line arithmetic — exactly the
-//! shape compilers auto-vectorize.
+//! Every barrier execution runs `Kernel::run`: measurement batches at
+//! `L` lanes, and at width 1 the BSPlib sync, `run_total_batched`, the
+//! faulty runs and the recovery re-execution. Per-rank times are lane
+//! vectors (`state[rank·L + lane]`), so the pattern is walked once per
+//! batch and each edge updates all lanes in a short loop of identical
+//! straight-line arithmetic. The draw-major jitter table (row `d` = draw
+//! `d` of every lane) is consumed in one fixed order — every rank's entry
+//! draw, then per rank per edge the `o_send`/wire/`o_recv`/ack quadruple
+//! — so lane `l` is bit-identical to the width-1 run of its repetition.
 //!
-//! The jitter table is draw-major SoA too: row `d` holds draw `d` of
-//! every lane, filled lane-by-lane from the per-repetition streams
-//! `(seed, BARRIER_JITTER_LABEL, first_rep + l)` in one batch pass
-//! (amortizing the transcendental work that dominated the scalar
-//! stochastic path), then consumed row-by-row in executor order.
-//!
-//! Two equivalences pin the engine down (see the tests here and in
-//! `tests/parallel_determinism.rs`):
-//!
-//! * per lane, the arithmetic is the scalar recurrence *verbatim* — so
-//!   lane `l` of a batch is bit-identical to the one-at-a-time
-//!   [`crate::barrier::BarrierSim::run_total_batched`] run of repetition
-//!   `first_rep + l`, for every lane width;
-//! * with jitter disabled every multiplier is exactly 1.0 and the
-//!   recurrence collapses to the noiseless scalar path bit-for-bit —
-//!   the flat core's noiseless goldens do not move.
+//! The `Policy` type parameter is the fault seam: `Healthy` is a
+//! zero-sized type whose constant hooks compile every fault branch and
+//! every `×1.0` away; the fault layer's `Faulty` policy carries the
+//! realized fault plan, drop stream and timeout bookkeeping.
 
-use crate::barrier::{BarrierSim, BARRIER_JITTER_LABEL};
-use crate::params::PlatformParams;
-use hpm_core::plan::CompiledPattern;
+use crate::barrier::{BarrierSim, BARRIER_JITTER_LABEL, MEASURE_LANES};
+use crate::net::{round_trip, Fate, Hazard, NetState};
+use crate::params::{LinkCost, PlatformParams};
+use hpm_core::plan::{CompiledPattern, StagePlan};
 use hpm_core::predictor::PayloadSchedule;
 use hpm_stats::rng::JitterBuf;
 use hpm_topology::LinkClass;
 
-/// SoA scratch of the lane executor: per-(rank, lane) stage times,
-/// per-(node, lane) NIC queues, per-(rank, lane) receive queues, the
-/// batch jitter table and the per-lane totals. One scratch serves any
-/// pattern/lane-width; buffers grow to the high-water mark and are then
-/// reused allocation-free.
+/// The fault seam of the stage kernel. The default hooks are the healthy
+/// cluster; a policy that can fail overrides them and sets `FAULTY`.
+pub(crate) trait Policy {
+    /// False compiles every fault branch out of the shared signal step.
+    const FAULTY: bool;
+
+    /// Service-time multiplier of original rank `r`'s node.
+    fn slow(&self, _r: usize) -> f64 {
+        1.0
+    }
+
+    /// The fault terms of the signal `src → dst` (original ranks); called
+    /// once per signal, before its lanes run.
+    fn hazard(&mut self, _src: usize, _dst: usize, _class: LinkClass) -> Hazard {
+        Hazard::NONE
+    }
+
+    /// Books the fate of the signal `i → j` (plan ranks).
+    fn book(&mut self, _i: usize, _j: usize, _h: &Hazard, _fate: &Fate) {}
+
+    /// Closes a stage after the exits in `nxt` are known.
+    fn stage_end(&mut self, _stage: &StagePlan, _posted: &[f64], _nxt: &mut [f64]) {}
+}
+
+/// The healthy cluster: nothing fails.
+pub(crate) struct Healthy;
+
+impl Policy for Healthy {
+    const FAULTY: bool = false;
+}
+
+/// Per-(rank, lane) stage times of the kernel: stage entries `cur` (the
+/// exits after a run), exits being accumulated `nxt`, library-posted
+/// times, latest inbound processing times, and the ack chain of the rank
+/// currently sending, per lane.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Stages {
+    pub cur: Vec<f64>,
+    nxt: Vec<f64>,
+    posted: Vec<f64>,
+    last_arrival: Vec<f64>,
+    acks: Vec<f64>,
+}
+
+impl Stages {
+    /// Grows the buffers to `p` ranks of `lanes` lanes.
+    pub fn ensure(&mut self, p: usize, lanes: usize) {
+        let Stages {
+            cur,
+            nxt,
+            posted,
+            last_arrival,
+            acks,
+        } = self;
+        for v in [cur, nxt, posted, last_arrival] {
+            v.resize(v.len().max(p * lanes), 0.0);
+        }
+        acks.resize(acks.len().max(lanes), 0.0);
+    }
+}
+
+/// One execution of a compiled plan over `lanes` repetitions, lane `l`
+/// with jitter from the stream `(seed, label, first_rep + l)`.
+pub(crate) struct Kernel<'a> {
+    pub sim: BarrierSim<'a>,
+    pub plan: &'a CompiledPattern,
+    pub payload: &'a PayloadSchedule,
+    /// Original rank of every plan rank (the recovery re-execution's
+    /// survivors); `None` is the identity.
+    pub ranks: Option<&'a [usize]>,
+    pub lanes: usize,
+    /// `(seed, label, first_rep)`.
+    pub stream: (u64, u64, u64),
+}
+
+impl Kernel<'_> {
+    /// Fills `jitter` to the plan's draw count and runs every stage from
+    /// the entry times in `st.cur`, leaving the exits there.
+    /// `net` holds the lane-major NIC and receive queues of the original
+    /// nodes and ranks.
+    pub fn run<P: Policy>(
+        &self,
+        st: &mut Stages,
+        net: &mut NetState,
+        jitter: &mut JitterBuf,
+        pol: &mut P,
+    ) {
+        // The widths in use get their lane count as a constant, so their
+        // lane loops and copies unroll; `L = 0` reads it at run time.
+        match self.lanes {
+            1 => self.run_with::<P, 1>(st, net, jitter, pol),
+            MEASURE_LANES => self.run_with::<P, MEASURE_LANES>(st, net, jitter, pol),
+            _ => self.run_with::<P, 0>(st, net, jitter, pol),
+        }
+    }
+
+    fn run_with<P: Policy, const L: usize>(
+        &self,
+        st: &mut Stages,
+        net: &mut NetState,
+        jitter: &mut JitterBuf,
+        pol: &mut P,
+    ) {
+        let BarrierSim { params, placement } = self.sim;
+        let lanes = if L == 0 { self.lanes } else { L };
+        let p = self.plan.p();
+        assert_eq!(
+            self.ranks.map_or(placement.nprocs(), <[usize]>::len),
+            p,
+            "placement process count"
+        );
+        st.ensure(p, lanes);
+        let (seed, label, first_rep) = self.stream;
+        let draws = self.plan.jitter_draws();
+        jitter.fill_lanes(params.jitter.sigma, seed, label, first_rep, lanes, draws);
+        let el = p * lanes;
+        let orig = |i: usize| self.ranks.map_or(i, |r| r[i]);
+        let Stages {
+            cur,
+            nxt,
+            posted,
+            last_arrival,
+            acks,
+        } = st;
+        let (nic_free, recv_busy) = (&mut net.nic_free, &mut net.recv_busy);
+        for s in 0..self.plan.stages() {
+            let stage = self.plan.stage(s);
+            let bytes = self.payload.bytes(s);
+            // Library call: every rank posts its receives after the call
+            // overhead.
+            for i in 0..p {
+                let m = jitter.rows(1);
+                let slow = pol.slow(orig(i));
+                let base = i * lanes;
+                for l in 0..lanes {
+                    posted[base + l] = cur[base + l] + params.call_overhead * m[l] * slow;
+                }
+            }
+            nxt[..el].copy_from_slice(&posted[..el]);
+            last_arrival[..el].fill(f64::NEG_INFINITY);
+            for i in 0..p {
+                let oi = orig(i);
+                acks[..lanes].copy_from_slice(&posted[i * lanes..(i + 1) * lanes]);
+                for &j in stage.dsts(i) {
+                    let oj = orig(j);
+                    let class = placement.link(oi, oj);
+                    let lc = params.link(class);
+                    let wire_base = lc.latency + bytes as f64 * lc.inv_bandwidth;
+                    let h = pol.hazard(oi, oj, class);
+                    let m = jitter.rows(hpm_core::plan::SIGNAL_JITTER_DRAWS);
+                    let nic = (class == LinkClass::Remote).then(|| {
+                        let node = placement.node_of(oi);
+                        &mut nic_free[node * lanes..(node + 1) * lanes]
+                    });
+                    signal_lanes(
+                        (params, &lc, wire_base, &h),
+                        (i, j),
+                        nic,
+                        &mut recv_busy[oj * lanes..(oj + 1) * lanes],
+                        &mut last_arrival[j * lanes..(j + 1) * lanes],
+                        &mut acks[..lanes],
+                        &posted[j * lanes..(j + 1) * lanes],
+                        m,
+                        pol,
+                    );
+                }
+                let base = i * lanes;
+                for l in 0..lanes {
+                    if acks[l] > nxt[base + l] {
+                        nxt[base + l] = acks[l];
+                    }
+                }
+            }
+            for (n, &a) in nxt[..el].iter_mut().zip(&last_arrival[..el]) {
+                *n = n.max(a);
+            }
+            pol.stage_end(stage, &posted[..el], &mut nxt[..el]);
+            std::mem::swap(cur, nxt);
+        }
+        debug_assert!(
+            params.jitter.sigma == 0.0 || jitter.consumed() == draws,
+            "the kernel consumed a different jitter-draw count than the plan reports"
+        );
+    }
+}
+
+/// Signal `i → j` in every lane: the shared step, then the sender's ack
+/// chain, the receiver's latest arrival and the policy's bookkeeping.
+/// Slice arguments (not captured buffers) tell the compiler the lane
+/// vectors never alias, which keeps the lane loop vectorizable.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn signal_lanes<P: Policy>(
+    (params, lc, wire_base, h): (&PlatformParams, &LinkCost, f64, &Hazard),
+    (i, j): (usize, usize),
+    mut nic: Option<&mut [f64]>,
+    recv_busy: &mut [f64],
+    last_arrival: &mut [f64],
+    acks: &mut [f64],
+    posted_j: &[f64],
+    m: &[f64],
+    pol: &mut P,
+) {
+    let lanes = acks.len();
+    let (rb, la, pj, m) = (
+        &mut recv_busy[..lanes],
+        &mut last_arrival[..lanes],
+        &posted_j[..lanes],
+        &m[..4 * lanes],
+    );
+    for l in 0..lanes {
+        let mults = [m[l], m[lanes + l], m[2 * lanes + l], m[3 * lanes + l]];
+        let free = nic.as_mut().map(|n| &mut n[l]);
+        let fate = round_trip::<P>(
+            params, lc, wire_base, h, free, &mut rb[l], acks[l], pj[l], mults,
+        );
+        match fate {
+            Fate::Delivered { ack, processed } => {
+                if processed > la[l] {
+                    la[l] = processed;
+                }
+                acks[l] = ack;
+            }
+            Fate::Lost(gave_up) => acks[l] = gave_up,
+            Fate::SenderDead => {}
+        }
+        pol.book(i, j, h, &fate);
+    }
+}
+
+/// Lane-major scratch of [`BarrierSim::run_batch_compiled`]: per-(rank,
+/// lane) stage times, per-(node, lane) NIC queues, per-(rank, lane)
+/// receive queues, the batch jitter table and the per-lane totals. One
+/// scratch serves any pattern and lane width; buffers grow to the
+/// high-water mark and are then reused allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct LaneScratch {
-    /// Stage entry times; final exits after a run.
-    cur: Vec<f64>,
-    /// Stage exit times being accumulated.
-    nxt: Vec<f64>,
-    /// Library-posted times within one stage.
-    posted: Vec<f64>,
-    /// Latest inbound-signal processing times within one stage.
-    last_arrival: Vec<f64>,
-    /// Per-lane acknowledgement chain of the rank currently sending.
-    acks: Vec<f64>,
-    /// Per-(node, lane) NIC egress availability.
-    nic_free: Vec<f64>,
-    /// Per-(rank, lane) receive-processing availability.
-    recv_busy: Vec<f64>,
-    /// Draw-major jitter table.
+    stages: Stages,
+    net: NetState,
     jitter: JitterBuf,
-    /// Per-lane worst-case completion times of the last batch.
     totals: Vec<f64>,
 }
 
@@ -69,39 +273,17 @@ impl LaneScratch {
         LaneScratch::default()
     }
 
-    /// Per-lane totals of the most recent batch.
-    pub fn totals(&self) -> &[f64] {
-        &self.totals
-    }
-
     /// The jitter table of the most recent batch — lets audit tests
     /// compare consumed rows against the plan's reported draw count.
     pub fn jitter(&self) -> &JitterBuf {
         &self.jitter
-    }
-
-    fn ensure(&mut self, p: usize, nodes: usize, lanes: usize) {
-        let grow = |v: &mut Vec<f64>, n: usize| {
-            if v.len() < n {
-                v.resize(n, 0.0);
-            }
-        };
-        grow(&mut self.cur, p * lanes);
-        grow(&mut self.nxt, p * lanes);
-        grow(&mut self.posted, p * lanes);
-        grow(&mut self.last_arrival, p * lanes);
-        grow(&mut self.acks, lanes);
-        grow(&mut self.nic_free, nodes * lanes);
-        grow(&mut self.recv_busy, p * lanes);
-        grow(&mut self.totals, lanes);
     }
 }
 
 impl BarrierSim<'_> {
     /// Runs `lanes` cold-start repetitions of a compiled pattern
     /// simultaneously, repetition `first_rep + l` in lane `l`; returns
-    /// the per-lane worst-case completion times (also available from
-    /// [`LaneScratch::totals`]).
+    /// the per-lane worst-case completion times.
     ///
     /// Sample `l` is bit-identical to
     /// `run_total_batched(plan, payload, seed, first_rep + l, ..)` —
@@ -115,167 +297,37 @@ impl BarrierSim<'_> {
         lanes: usize,
         scratch: &'s mut LaneScratch,
     ) -> &'s [f64] {
-        let p = plan.p();
-        assert_eq!(self.placement.nprocs(), p, "placement process count");
         assert!(lanes >= 1, "at least one lane");
+        let p = plan.p();
         let nodes = self.placement.shape().nodes();
-        scratch.ensure(p, nodes, lanes);
-        scratch.jitter.fill_lanes(
-            self.params.jitter.sigma,
-            seed,
-            BARRIER_JITTER_LABEL,
-            first_rep,
-            lanes,
-            plan.jitter_draws(),
-        );
         let LaneScratch {
-            cur,
-            nxt,
-            posted,
-            last_arrival,
-            acks,
-            nic_free,
-            recv_busy,
+            stages,
+            net,
             jitter,
             totals,
         } = scratch;
-        let el = p * lanes;
-        cur[..el].fill(0.0);
-        nic_free[..nodes * lanes].fill(0.0);
-        recv_busy[..el].fill(0.0);
-
-        for s in 0..plan.stages() {
-            run_stage_lanes(
-                self.params,
-                self.placement,
-                plan,
-                payload,
-                s,
-                lanes,
-                (cur, nxt, posted, last_arrival, acks),
-                (nic_free, recv_busy),
-                jitter,
-            );
-            std::mem::swap(cur, nxt);
-        }
-
-        for l in 0..lanes {
-            let mut worst = f64::NEG_INFINITY;
-            for i in 0..p {
-                worst = worst.max(cur[i * lanes + l]);
-            }
-            totals[l] = worst;
-        }
-        &scratch.totals[..lanes]
-    }
-}
-
-/// The stage-time lane vectors handed to [`run_stage_lanes`]:
-/// `(cur, nxt, posted, last_arrival, acks)`.
-type StageLanes<'a> = (
-    &'a mut [f64],
-    &'a mut [f64],
-    &'a mut [f64],
-    &'a mut [f64],
-    &'a mut [f64],
-);
-
-/// One stage over all lanes: the scalar stage recurrence with every
-/// per-process scalar widened to a lane vector. Multiplier rows are
-/// consumed in the scalar executor's draw order (entry draws in rank
-/// order, then per rank per edge the `o_send`/wire/`o_recv`/ack
-/// quadruple), so the cursor position per lane matches the single-lane
-/// fill exactly.
-#[allow(clippy::too_many_arguments)]
-fn run_stage_lanes(
-    params: &PlatformParams,
-    placement: &hpm_topology::Placement,
-    plan: &CompiledPattern,
-    payload: &PayloadSchedule,
-    s: usize,
-    lanes: usize,
-    (cur, nxt, posted, last_arrival, acks): StageLanes<'_>,
-    (nic_free, recv_busy): (&mut [f64], &mut [f64]),
-    jitter: &mut JitterBuf,
-) {
-    let p = plan.p();
-    let stage = plan.stage(s);
-    let bytes = payload.bytes(s);
-    let el = p * lanes;
-    // Library call: posted = entry + call overhead, per rank per lane.
-    for i in 0..p {
-        let m = jitter.rows(1);
-        let base = i * lanes;
-        for l in 0..lanes {
-            posted[base + l] = cur[base + l] + params.call_overhead * m[l];
-        }
-    }
-    nxt[..el].copy_from_slice(&posted[..el]);
-    last_arrival[..el].fill(f64::NEG_INFINITY);
-    for i in 0..p {
-        acks[..lanes].copy_from_slice(&posted[i * lanes..(i + 1) * lanes]);
-        for &j in stage.dsts(i) {
-            let link = placement.link(i, j);
-            let lc = params.link(link);
-            let wire_base = lc.latency + bytes as f64 * lc.inv_bandwidth;
-            let ms = jitter.rows(4);
-            let (m_send, rest) = ms.split_at(lanes);
-            let (m_wire, rest) = rest.split_at(lanes);
-            let (m_recv, m_ack) = rest.split_at(lanes);
-            let (posted_j, rb, la) = (
-                &posted[j * lanes..(j + 1) * lanes],
-                &mut recv_busy[j * lanes..],
-                &mut last_arrival[j * lanes..],
-            );
-            if link == LinkClass::Remote {
-                let node = placement.node_of(i);
-                let nf = &mut nic_free[node * lanes..];
-                for l in 0..lanes {
-                    let send_done = acks[l] + lc.o_send * m_send[l];
-                    let dep = send_done.max(nf[l]);
-                    nf[l] = dep + params.nic_gap;
-                    let arrival = dep + wire_base * m_wire[l];
-                    let proc_start = if arrival < posted_j[l] {
-                        posted_j[l] + params.unexpected_penalty
-                    } else {
-                        arrival
-                    };
-                    let processed = proc_start.max(rb[l]) + lc.o_recv * m_recv[l];
-                    rb[l] = processed;
-                    if processed > la[l] {
-                        la[l] = processed;
-                    }
-                    acks[l] = processed + lc.latency * params.ack_factor * m_ack[l];
-                }
-            } else {
-                for l in 0..lanes {
-                    let send_done = acks[l] + lc.o_send * m_send[l];
-                    let arrival = send_done + wire_base * m_wire[l];
-                    let proc_start = if arrival < posted_j[l] {
-                        posted_j[l] + params.unexpected_penalty
-                    } else {
-                        arrival
-                    };
-                    let processed = proc_start.max(rb[l]) + lc.o_recv * m_recv[l];
-                    rb[l] = processed;
-                    if processed > la[l] {
-                        la[l] = processed;
-                    }
-                    acks[l] = processed + lc.latency * params.ack_factor * m_ack[l];
-                }
-            }
-        }
-        let base = i * lanes;
-        for l in 0..lanes {
-            if acks[l] > nxt[base + l] {
-                nxt[base + l] = acks[l];
-            }
-        }
-    }
-    for je in 0..el {
-        if last_arrival[je] > nxt[je] {
-            nxt[je] = last_arrival[je];
-        }
+        stages.ensure(p, lanes);
+        stages.cur[..p * lanes].fill(0.0);
+        net.nic_free.clear();
+        net.nic_free.resize(nodes * lanes, 0.0);
+        net.recv_busy.clear();
+        net.recv_busy.resize(p * lanes, 0.0);
+        let kernel = Kernel {
+            sim: *self,
+            plan,
+            payload,
+            ranks: None,
+            lanes,
+            stream: (seed, BARRIER_JITTER_LABEL, first_rep),
+        };
+        kernel.run(stages, net, jitter, &mut Healthy);
+        totals.clear();
+        totals.extend((0..lanes).map(|l| {
+            (0..p)
+                .map(|i| stages.cur[i * lanes + l])
+                .fold(f64::NEG_INFINITY, f64::max)
+        }));
+        &scratch.totals
     }
 }
 
@@ -283,11 +335,10 @@ fn run_stage_lanes(
 mod tests {
     use super::*;
     use crate::barrier::SimScratch;
-    use crate::net::NetState;
     use crate::params::xeon_cluster_params;
     use hpm_core::matrix::IMat;
     use hpm_core::pattern::{BarrierPattern, CommPattern};
-    use hpm_stats::rng::{derive_rng, ScalarJitter};
+    use hpm_core::predictor::PayloadSchedule;
     use hpm_topology::{cluster_8x2x4, Placement, PlacementPolicy};
 
     fn dissemination(p: usize) -> BarrierPattern {
@@ -310,7 +361,7 @@ mod tests {
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 24);
         let sim = BarrierSim::new(&params, &placement);
         let plan = dissemination(24).plan();
-        let payload = hpm_core::predictor::PayloadSchedule::dissemination_count_map(24);
+        let payload = PayloadSchedule::dissemination_count_map(24);
         let mut net = NetState::new(&placement);
         let mut scalar = SimScratch::new(&placement);
         let singles: Vec<f64> = (0..12)
@@ -336,26 +387,25 @@ mod tests {
         }
     }
 
-    /// With jitter off, the lane executor reproduces the scalar compiled
-    /// executor bit for bit — the noiseless path does not move.
+    /// With jitter off every multiplier is exactly 1.0: every lane of a
+    /// batch equals the width-1 run bit for bit, whatever its seed — the
+    /// noiseless path does not move.
     #[test]
-    fn noiseless_lanes_match_scalar_executor_bitwise() {
+    fn noiseless_lanes_match_single_run_bitwise() {
         let params = xeon_cluster_params().noiseless();
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 16);
         let sim = BarrierSim::new(&params, &placement);
         let plan = dissemination(16).plan();
-        let payload = hpm_core::predictor::PayloadSchedule::none();
+        let payload = PayloadSchedule::none();
         let mut net = NetState::new(&placement);
-        let mut scalar = SimScratch::new(&placement);
-        let mut rng = derive_rng(5, 0);
-        let mut jit = ScalarJitter::new(params.jitter, &mut rng);
-        let want = sim.run_total_compiled(&plan, &payload, &mut jit, &mut net, &mut scalar);
+        let mut single = SimScratch::new(&placement);
+        let want = sim.run_total_batched(&plan, &payload, 5, 0, &mut net, &mut single);
         let mut scratch = LaneScratch::new();
         let got = sim.run_batch_compiled(&plan, &payload, 5, 0, 4, &mut scratch);
         assert!(got.iter().all(|&t| t.to_bits() == want.to_bits()));
     }
 
-    /// Draw-count audit (both engines): the executor consumes exactly
+    /// Draw-count audit (lanes and width 1): the kernel consumes exactly
     /// the draw count the compiled plan reports, per repetition. The
     /// static analyzer recomputes the same count from the CSR shape
     /// alone — asserting it agrees here ties the engines' dynamic
@@ -371,7 +421,7 @@ mod tests {
         // plan's reported draw count matches what the stages will make
         // the engines consume below.
         assert!(hpm_analyze::analyze(&plan).is_empty());
-        let payload = hpm_core::predictor::PayloadSchedule::dissemination_count_map(24);
+        let payload = PayloadSchedule::dissemination_count_map(24);
         // Lane engine: rows consumed == draws, for every lane width.
         let mut scratch = LaneScratch::new();
         for lanes in [1usize, 5, 8] {
@@ -382,7 +432,7 @@ mod tests {
                 "lane width {lanes}"
             );
         }
-        // Scalar batched engine: same count.
+        // Width 1: same count.
         let mut net = NetState::new(&placement);
         let mut scalar = SimScratch::new(&placement);
         sim.run_total_batched(&plan, &payload, 3, 0, &mut net, &mut scalar);
@@ -400,45 +450,13 @@ mod tests {
         let noiseless_params = params.noiseless();
         let noiseless = BarrierSim::new(&noiseless_params, &placement);
         let pat = dissemination(16);
-        let payload = hpm_core::predictor::PayloadSchedule::none();
+        let payload = PayloadSchedule::none();
         let med = jittered.measure(&pat, &payload, 512, 9).median();
         let base = noiseless.measure(&pat, &payload, 1, 9).samples[0];
         let rel = (med - base) / base;
         assert!(
             (-0.02..0.15).contains(&rel),
             "median {med} vs noise-free {base} (rel {rel})"
-        );
-    }
-
-    /// The old (scalar Box-Muller) and new (batched inverse-CDF) jitter
-    /// engines describe the same physics: mean completion times agree
-    /// within sampling tolerance.
-    #[test]
-    fn batched_and_scalar_measurements_agree_statistically() {
-        let params = xeon_cluster_params();
-        let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 16);
-        let sim = BarrierSim::new(&params, &placement);
-        let pat = dissemination(16);
-        let payload = hpm_core::predictor::PayloadSchedule::none();
-        let reps = 768;
-        let batched = sim.measure(&pat, &payload, reps, 11).mean();
-        // The scalar path, as PR 4's measure ran it: one derived StdRng
-        // per repetition through the compiled executor.
-        let plan = pat.plan();
-        let mut net = NetState::new(&placement);
-        let mut scratch = SimScratch::new(&placement);
-        let scalar_samples: Vec<f64> = (0..reps)
-            .map(|r| {
-                let mut rng = derive_rng(11, r as u64);
-                let mut jit = ScalarJitter::new(params.jitter, &mut rng);
-                sim.run_total_compiled(&plan, &payload, &mut jit, &mut net, &mut scratch)
-            })
-            .collect();
-        let scalar = hpm_stats::mean(&scalar_samples);
-        let rel = (batched - scalar).abs() / scalar;
-        assert!(
-            rel < 0.02,
-            "batched mean {batched} vs scalar mean {scalar} (rel {rel})"
         );
     }
 }

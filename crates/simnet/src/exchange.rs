@@ -10,7 +10,7 @@
 
 use crate::net::NetState;
 use crate::params::PlatformParams;
-use hpm_stats::rng::JitterSource;
+use hpm_stats::rng::JitterBuf;
 use hpm_topology::Placement;
 
 /// Jitter multipliers one non-self [`NetState::transfer`] consumes: the
@@ -72,12 +72,12 @@ pub struct ExchangeResult {
 ///
 /// One-shot convenience over [`resolve_exchange_into`], allocating the
 /// result and scratch per call.
-pub fn resolve_exchange<J: JitterSource>(
+pub fn resolve_exchange(
     params: &PlatformParams,
     placement: &Placement,
     msgs: &[ExchangeMsg],
     net: &mut NetState,
-    jit: &mut J,
+    jit: &mut JitterBuf,
 ) -> ExchangeResult {
     let mut scratch = ExchangeScratch::default();
     let mut out = ExchangeResult::default();
@@ -95,12 +95,12 @@ pub fn resolve_exchange<J: JitterSource>(
 /// by `(issue, input index)`, which the sorted fast path preserves
 /// because equal issues keep input order either way.
 #[allow(clippy::too_many_arguments)]
-pub fn resolve_exchange_into<J: JitterSource>(
+pub fn resolve_exchange_into(
     params: &PlatformParams,
     placement: &Placement,
     msgs: &[ExchangeMsg],
     net: &mut NetState,
-    jit: &mut J,
+    jit: &mut JitterBuf,
     scratch: &mut ExchangeScratch,
     out: &mut ExchangeResult,
 ) {
@@ -113,7 +113,7 @@ pub fn resolve_exchange_into<J: JitterSource>(
     out.last_in.resize(p, 0.0);
     out.last_out.clear();
     out.last_out.resize(p, 0.0);
-    let mut step = |idx: usize, net: &mut NetState, jit: &mut J| {
+    let mut step = |idx: usize, net: &mut NetState, jit: &mut JitterBuf| {
         let m = &msgs[idx];
         assert!(m.src < p && m.dst < p, "message endpoints out of range");
         let (cpu, done) = net.transfer(params, placement, jit, m.src, m.dst, m.bytes, m.issue);
@@ -150,7 +150,6 @@ pub fn resolve_exchange_into<J: JitterSource>(
 mod tests {
     use super::*;
     use crate::params::xeon_cluster_params;
-    use hpm_stats::rng::{derive_rng, ScalarJitter};
     use hpm_topology::{cluster_8x2x4, Placement, PlacementPolicy};
 
     fn setup(n: usize) -> (PlatformParams, Placement) {
@@ -164,8 +163,7 @@ mod tests {
     fn empty_exchange_is_empty() {
         let (params, placement) = setup(8);
         let mut net = NetState::new(&placement);
-        let mut rng = derive_rng(1, 0);
-        let mut jit_rng = ScalarJitter::new(params.jitter, &mut rng);
+        let mut jit_rng = JitterBuf::new();
         let r = resolve_exchange(&params, &placement, &[], &mut net, &mut jit_rng);
         assert!(r.processed.is_empty());
         assert!(r.last_in.iter().all(|&t| t == 0.0));
@@ -177,8 +175,7 @@ mod tests {
         // completes well before the superstep ends — full overlap.
         let (params, placement) = setup(16);
         let mut net = NetState::new(&placement);
-        let mut rng = derive_rng(2, 0);
-        let mut jit_rng = ScalarJitter::new(params.jitter, &mut rng);
+        let mut jit_rng = JitterBuf::new();
         let msgs = [ExchangeMsg {
             src: 0,
             dst: 1,
@@ -194,8 +191,7 @@ mod tests {
     fn last_in_tracks_the_latest_arrival() {
         let (params, placement) = setup(16);
         let mut net = NetState::new(&placement);
-        let mut rng = derive_rng(3, 0);
-        let mut jit_rng = ScalarJitter::new(params.jitter, &mut rng);
+        let mut jit_rng = JitterBuf::new();
         let msgs = [
             ExchangeMsg {
                 src: 0,
@@ -222,8 +218,7 @@ mod tests {
     fn last_out_tracks_sender_side_completion() {
         let (params, placement) = setup(16);
         let mut net = NetState::new(&placement);
-        let mut rng = derive_rng(8, 0);
-        let mut jit_rng = ScalarJitter::new(params.jitter, &mut rng);
+        let mut jit_rng = JitterBuf::new();
         let msgs = [
             ExchangeMsg {
                 src: 0,
@@ -260,8 +255,7 @@ mod tests {
         // after the earlier one's NIC gap.
         let (params, placement) = setup(16);
         let mut net = NetState::new(&placement);
-        let mut rng = derive_rng(4, 0);
-        let mut jit_rng = ScalarJitter::new(params.jitter, &mut rng);
+        let mut jit_rng = JitterBuf::new();
         let msgs = [
             ExchangeMsg {
                 src: 0,
@@ -317,10 +311,8 @@ mod tests {
         let mut net_a = NetState::new(&placement);
         let mut net_b = NetState::new(&placement);
         for (k, msgs) in rounds.iter().enumerate() {
-            let mut rng_a = derive_rng(42, k as u64);
-            let mut rng_b = derive_rng(42, k as u64);
-            let mut jit_a = ScalarJitter::new(params.jitter, &mut rng_a);
-            let mut jit_b = ScalarJitter::new(params.jitter, &mut rng_b);
+            let mut jit_a = JitterBuf::new();
+            let mut jit_b = JitterBuf::new();
             net_a.reset();
             net_b.reset();
             let fresh = resolve_exchange(&params, &placement, msgs, &mut net_a, &mut jit_a);
@@ -368,12 +360,10 @@ mod tests {
         ];
         let sorted = [unsorted[1], unsorted[0], unsorted[2]];
         let mut net = NetState::new(&placement);
-        let mut rng = derive_rng(9, 0);
-        let mut jit_rng = ScalarJitter::new(params.jitter, &mut rng);
+        let mut jit_rng = JitterBuf::new();
         let a = resolve_exchange(&params, &placement, &unsorted, &mut net, &mut jit_rng);
         net.reset();
-        let mut rng = derive_rng(9, 0);
-        let mut jit_rng = ScalarJitter::new(params.jitter, &mut rng);
+        let mut jit_rng = JitterBuf::new();
         let b = resolve_exchange(&params, &placement, &sorted, &mut net, &mut jit_rng);
         // Input order differs, so compare per-process aggregates and the
         // permuted per-message times.
@@ -389,7 +379,7 @@ mod tests {
     /// self messages (which draw nothing) included in the message list.
     #[test]
     fn resolver_consumes_exactly_reported_draws() {
-        use hpm_stats::rng::{JitterBuf, JitterModel};
+        use hpm_stats::rng::JitterModel;
         let (mut params, placement) = setup(16);
         params.jitter = JitterModel::new(0.05);
         let msgs: Vec<ExchangeMsg> = (0..14)
@@ -415,8 +405,7 @@ mod tests {
     fn big_transfer_time_is_bandwidth_dominated() {
         let (params, placement) = setup(16);
         let mut net = NetState::new(&placement);
-        let mut rng = derive_rng(5, 0);
-        let mut jit_rng = ScalarJitter::new(params.jitter, &mut rng);
+        let mut jit_rng = JitterBuf::new();
         let bytes = 10u64 << 20; // 10 MiB
         let msgs = [ExchangeMsg {
             src: 0,

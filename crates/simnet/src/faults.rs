@@ -1,30 +1,25 @@
-//! The fault-aware barrier executor: crashes, drops, degraded links and
-//! stragglers over the staged executor, with per-rank outcomes.
+//! The fault layer: crashes, drops, degraded links and stragglers as a
+//! policy of the stage kernel, with per-rank outcomes.
 //!
-//! [`crate::barrier::BarrierSim::run_once_faulty`] executes one compiled
-//! pattern under a [`FaultModel`]: the repetition's faults are realized
-//! into a [`FaultPlan`] from the stream `(seed, FAULT_LABEL, rep)`, the
-//! jitter table fills exactly as on the healthy path, and every planned
-//! signal runs through [`crate::net::NetState::signal_round_trip_faulty`]
-//! — which consumes one drop uniform and the usual four jitter
-//! multipliers whatever the signal's fate. Because every stream is keyed
-//! by the repetition's own coordinates and consumption counts are pure
-//! functions of the plan shape ([`fault_drop_draws`]), faulty runs are
-//! bit-identical at any thread count, and a [`FaultModel::is_none`]
-//! model reproduces the fault-free executor bit-for-bit (all fault
-//! arithmetic collapses to `×1.0`/`+0.0`).
-//!
-//! Unlike the healthy executor, global completion is not assumed: each
-//! rank finishes as [`RankOutcome::Completed`], gives up waiting for a
-//! signal that never arrives ([`RankOutcome::TimedOut`], after the
-//! sender-symmetric retry budget [`FaultModel::loss_delay`]), or is
-//! [`RankOutcome::Crashed`] outright.
+//! A faulty run realizes its faults into a [`FaultPlan`] from the stream
+//! `(seed, FAULT_LABEL, rep)` (or takes a caller's plan), fills jitter as
+//! the healthy path does, and runs the kernel under the `Faulty` policy:
+//! every planned signal consumes one drop uniform from
+//! `(seed, FAULT_DROP_LABEL, rep)` whatever its fate
+//! ([`fault_drop_draws`]). Faulty runs are therefore bit-identical at any
+//! thread count, and a [`FaultModel::is_none`] model reproduces the
+//! healthy kernel bit for bit (`×1.0`, `+0.0`). Each rank ends
+//! [`RankOutcome::Completed`], [`RankOutcome::TimedOut`] after waiting out
+//! the retry budget [`FaultModel::loss_delay`], or
+//! [`RankOutcome::Crashed`].
 
-use crate::barrier::{BarrierSim, SimScratch};
-use crate::net::{NetState, SignalFate};
-use hpm_core::plan::CompiledPattern;
+use crate::barrier::{BarrierSim, SimScratch, BARRIER_JITTER_LABEL};
+use crate::batch::{Kernel, Policy};
+use crate::net::{Fate, Hazard, NetState};
+use hpm_core::plan::{CompiledPattern, StagePlan};
 use hpm_core::predictor::PayloadSchedule;
-use hpm_stats::fault::{DropStream, FaultModel, FaultPlan};
+use hpm_stats::fault::{attempts_from_uniform, DropStream, FaultModel, FaultPlan};
+use hpm_topology::{LinkClass, Placement};
 
 /// How one rank left a faulty run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,7 +35,7 @@ pub enum RankOutcome {
 
 /// One repetition's fault accounting: per-rank outcomes plus the retry
 /// and loss totals the repro experiment aggregates.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultReport {
     /// Per-rank outcome.
     pub outcomes: Vec<RankOutcome>,
@@ -56,16 +51,12 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
-    /// A fresh all-completed-at-zero report for `p` ranks, ready to be
-    /// filled by [`BarrierSim::run_once_faulty_into`].
+    /// A fresh all-completed-at-zero report for `p` ranks.
     #[must_use]
     pub fn new(p: usize) -> FaultReport {
         FaultReport {
             outcomes: vec![RankOutcome::Completed(0.0); p],
-            retries: 0,
-            retry_delay: 0.0,
-            lost_signals: 0,
-            suppressed_signals: 0,
+            ..FaultReport::default()
         }
     }
 
@@ -97,90 +88,42 @@ impl FaultReport {
     /// Worst-case exit time over ranks that finished the run (completed
     /// or timed out); `NEG_INFINITY` if everyone crashed.
     pub fn total(&self) -> f64 {
-        self.outcomes
-            .iter()
-            .fold(f64::NEG_INFINITY, |acc, o| match o {
-                RankOutcome::Completed(t) | RankOutcome::TimedOut(t) => acc.max(*t),
-                RankOutcome::Crashed(_) => acc,
-            })
-    }
-
-    /// Ranks that completed cleanly, in rank order, without allocating.
-    pub fn survivors_iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| matches!(o, RankOutcome::Completed(_)))
-            .map(|(r, _)| r)
-    }
-
-    /// Ranks that crashed or timed out, in rank order, without
-    /// allocating.
-    pub fn failed_iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| !matches!(o, RankOutcome::Completed(_)))
-            .map(|(r, _)| r)
-    }
-
-    /// Fills `out` with the surviving ranks, reusing its capacity.
-    pub fn survivors_into(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(self.survivors_iter());
-    }
-
-    /// Fills `out` with the failed ranks, reusing its capacity.
-    pub fn failed_into(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(self.failed_iter());
+        total_of(&self.outcomes)
     }
 
     /// Ranks that completed cleanly, in rank order.
     pub fn survivors(&self) -> Vec<usize> {
-        self.survivors_iter().collect()
+        self.ranks_where(true)
     }
 
     /// Ranks that crashed or timed out, in rank order.
     pub fn failed(&self) -> Vec<usize> {
-        self.failed_iter().collect()
+        self.ranks_where(false)
+    }
+
+    fn ranks_where(&self, completed: bool) -> Vec<usize> {
+        (0..self.outcomes.len())
+            .filter(|&r| matches!(self.outcomes[r], RankOutcome::Completed(_)) == completed)
+            .collect()
     }
 }
 
-/// Reusable per-worker state for the faulty executor: the realized
-/// fault plan plus the timeout/arrival bookkeeping that
-/// [`BarrierSim::run_once_faulty`] used to allocate per call. Buffers
-/// grow to the largest plan seen and are then reused, so repetition
-/// loops over a fixed shape are allocation-free.
-#[derive(Debug)]
-pub struct FaultScratch {
-    pub(crate) fplan: FaultPlan,
+/// Worst-case exit time over ranks that finished (completed or timed
+/// out); `NEG_INFINITY` if everyone crashed.
+pub(crate) fn total_of(outcomes: &[RankOutcome]) -> f64 {
+    outcomes.iter().fold(f64::NEG_INFINITY, |acc, o| match o {
+        RankOutcome::Completed(t) | RankOutcome::TimedOut(t) => acc.max(*t),
+        RankOutcome::Crashed(_) => acc,
+    })
+}
+
+/// Reusable buffers of the fault policy: the realized fault plan and the
+/// per-rank timeout and arrival bookkeeping, reused allocation-free.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FaultScratch {
+    fplan: FaultPlan,
     timed_out: Vec<bool>,
     arrived: Vec<usize>,
-}
-
-impl Default for FaultScratch {
-    fn default() -> FaultScratch {
-        FaultScratch::new()
-    }
-}
-
-impl FaultScratch {
-    /// An empty scratch; buffers size themselves on first use.
-    #[must_use]
-    pub fn new() -> FaultScratch {
-        FaultScratch {
-            fplan: FaultPlan::neutral(0, 0),
-            timed_out: Vec::new(),
-            arrived: Vec::new(),
-        }
-    }
-
-    /// The fault plan realized by the most recent faulty run.
-    #[must_use]
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fplan
-    }
 }
 
 /// Drop-stream draws one faulty run of `plan` consumes: exactly one per
@@ -192,276 +135,171 @@ pub fn fault_drop_draws(plan: &CompiledPattern) -> usize {
     (0..plan.stages()).map(|s| plan.stage(s).edge_count()).sum()
 }
 
+/// The kernel's fault policy: a realized [`FaultPlan`], the per-signal
+/// drop stream, and the bookkeeping that turns signal fates into rank
+/// outcomes. Runs at width 1.
+struct Faulty<'a> {
+    fault: &'a FaultModel,
+    fplan: &'a FaultPlan,
+    placement: &'a Placement,
+    drops: DropStream,
+    loss_delay: f64,
+    timed_out: &'a mut [bool],
+    arrived: &'a mut [usize],
+    report: &'a mut FaultReport,
+}
+
+impl Policy for Faulty<'_> {
+    const FAULTY: bool = true;
+
+    #[inline(always)]
+    fn slow(&self, r: usize) -> f64 {
+        self.fplan.node_slow[self.placement.node_of(r)]
+    }
+
+    /// Consumes exactly one drop uniform whatever the signal's fate, so
+    /// the drop-draw count is the plan's edge count.
+    #[inline(always)]
+    fn hazard(&mut self, src: usize, dst: usize, class: LinkClass) -> Hazard {
+        let u = self.drops.next_uniform();
+        let (src_node, dst_node) = (self.placement.node_of(src), self.placement.node_of(dst));
+        let drop_p = if class == LinkClass::Remote {
+            self.fault.drop.remote
+        } else {
+            self.fault.drop.local
+        };
+        let attempts = attempts_from_uniform(u, drop_p);
+        let lost = attempts > self.fault.max_retries + 1;
+        Hazard {
+            slow_src: self.fplan.node_slow[src_node],
+            slow_dst: self.fplan.node_slow[dst_node],
+            wire_deg: self.fplan.wire_mult(src_node, dst_node),
+            attempts,
+            lost,
+            retry_delay: self.fault.retry_delay(attempts),
+            loss_delay: self.loss_delay,
+            src_crash: self.fplan.crash_time[src],
+            dst_crash: self.fplan.crash_time[dst],
+        }
+    }
+
+    #[inline(always)]
+    fn book(&mut self, i: usize, j: usize, h: &Hazard, fate: &Fate) {
+        match fate {
+            Fate::Delivered { .. } => {
+                self.report.retries += u64::from(h.attempts - 1);
+                self.report.retry_delay += h.retry_delay;
+                self.arrived[j] += 1;
+            }
+            Fate::Lost(_) => {
+                self.report.lost_signals += 1;
+                self.timed_out[i] = true;
+            }
+            Fate::SenderDead => self.report.suppressed_signals += 1,
+        }
+    }
+
+    /// A surviving rank missing an expected arrival waits out the
+    /// sender-symmetric retry budget past its post, then gives up.
+    fn stage_end(&mut self, stage: &StagePlan, posted: &[f64], nxt: &mut [f64]) {
+        for j in 0..nxt.len() {
+            if self.arrived[j] < stage.in_degree(j) && self.fplan.crash_time[j] == f64::INFINITY {
+                self.timed_out[j] = true;
+                nxt[j] = nxt[j].max(posted[j] + self.loss_delay);
+            }
+            self.arrived[j] = 0;
+        }
+    }
+}
+
 impl BarrierSim<'_> {
-    /// One faulty cold-start run of a compiled pattern from per-rank
-    /// entry times (realized straggler delays are added on top).
-    ///
-    /// Jitter fills from `(seed, label, rep)` exactly like
-    /// [`BarrierSim::run_once_batched`]; fault structure and drop
-    /// decisions come from the disjoint `FAULT_LABEL`/`FAULT_DROP_LABEL`
-    /// streams at the same `(seed, rep)`. With [`FaultModel::is_none`]
-    /// the exits are bit-identical to the fault-free batched run.
+    /// One faulty run from per-rank entry times (realized straggler
+    /// delays are added on top) into `scratch.report`, under `fplan` or,
+    /// when `None`, the plan realized from the fault stream
+    /// `(seed, FAULT_LABEL, rep)`. Jitter fills from `(seed, label, rep)`
+    /// exactly as on the healthy path and drop decisions come from the
+    /// disjoint `FAULT_DROP_LABEL` stream, so a [`FaultModel::is_none`]
+    /// model reproduces the healthy kernel bit for bit.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_once_faulty(
+    pub(crate) fn run_faulty(
         &self,
         plan: &CompiledPattern,
         payload: &PayloadSchedule,
         fault: &FaultModel,
+        fplan: Option<&FaultPlan>,
         entry: &[f64],
         net: &mut NetState,
-        seed: u64,
-        label: u64,
-        rep: u64,
+        stream: (u64, u64, u64),
         scratch: &mut SimScratch,
-    ) -> FaultReport {
-        let mut fs = FaultScratch::new();
-        let mut report = FaultReport::new(plan.p());
-        self.run_once_faulty_into(
-            plan,
-            payload,
-            fault,
-            entry,
-            net,
-            seed,
-            label,
-            rep,
-            scratch,
-            &mut fs,
-            &mut report,
-        );
-        report
-    }
-
-    /// Allocation-free twin of [`BarrierSim::run_once_faulty`]: the
-    /// realized fault plan and the timeout/arrival bookkeeping live in
-    /// `fs`, the outcomes in `report` — all reused across calls.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_once_faulty_into(
-        &self,
-        plan: &CompiledPattern,
-        payload: &PayloadSchedule,
-        fault: &FaultModel,
-        entry: &[f64],
-        net: &mut NetState,
-        seed: u64,
-        label: u64,
-        rep: u64,
-        scratch: &mut SimScratch,
-        fs: &mut FaultScratch,
-        report: &mut FaultReport,
     ) {
-        let nodes = self.placement.shape().nodes();
-        let FaultScratch {
-            fplan,
-            timed_out,
-            arrived,
-        } = fs;
-        fplan.realize_into(fault, plan.p(), nodes, seed, rep);
-        self.faulty_core(
-            plan, payload, fault, fplan, entry, net, seed, label, rep, scratch, timed_out, arrived,
-            report,
-        );
-    }
-
-    /// Faulty run under a caller-supplied [`FaultPlan`] (e.g.
-    /// [`FaultPlan::with_crashes`] for a deterministic crash-set sweep)
-    /// instead of one realized from the fault stream. The drop and
-    /// jitter streams are consumed exactly as in
-    /// [`BarrierSim::run_once_faulty`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_once_faulty_with(
-        &self,
-        plan: &CompiledPattern,
-        payload: &PayloadSchedule,
-        fault: &FaultModel,
-        fplan: &FaultPlan,
-        entry: &[f64],
-        net: &mut NetState,
-        seed: u64,
-        label: u64,
-        rep: u64,
-        scratch: &mut SimScratch,
-        fs: &mut FaultScratch,
-        report: &mut FaultReport,
-    ) {
-        let FaultScratch {
-            timed_out, arrived, ..
-        } = fs;
-        self.faulty_core(
-            plan, payload, fault, fplan, entry, net, seed, label, rep, scratch, timed_out, arrived,
-            report,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn faulty_core(
-        &self,
-        plan: &CompiledPattern,
-        payload: &PayloadSchedule,
-        fault: &FaultModel,
-        fplan: &FaultPlan,
-        entry: &[f64],
-        net: &mut NetState,
-        seed: u64,
-        label: u64,
-        rep: u64,
-        scratch: &mut SimScratch,
-        timed_out: &mut Vec<bool>,
-        arrived: &mut Vec<usize>,
-        report: &mut FaultReport,
-    ) {
+        let (seed, _, rep) = stream;
         let p = plan.p();
         assert_eq!(entry.len(), p, "entry vector length");
-        assert_eq!(self.placement.nprocs(), p, "placement process count");
+        let SimScratch {
+            stages,
+            jitter,
+            fault: fs,
+            report,
+        } = scratch;
+        let fplan = match fplan {
+            Some(f) => f,
+            None => {
+                fs.fplan
+                    .realize_into(fault, p, self.placement.shape().nodes(), seed, rep);
+                &fs.fplan
+            }
+        };
         assert_eq!(fplan.crash_time.len(), p, "fault plan rank count");
-        let mut drops = DropStream::new(seed, rep);
-        let mut jit = std::mem::take(&mut scratch.jitter);
-        jit.fill(
-            self.params.jitter.sigma,
-            seed,
-            label,
-            rep,
-            plan.jitter_draws(),
-        );
-        for (c, (&e, &d)) in scratch
-            .cur
-            .iter_mut()
-            .zip(entry.iter().zip(&fplan.straggler_delay))
-        {
+        stages.ensure(p, 1);
+        for ((c, &e), &d) in stages.cur.iter_mut().zip(entry).zip(&fplan.straggler_delay) {
             *c = e + d;
         }
         report.reset(p);
-        timed_out.clear();
-        timed_out.resize(p, false);
-        arrived.clear();
-        arrived.resize(p, 0);
-        for s in 0..plan.stages() {
-            self.run_stage_faulty(
-                plan, payload, s, fault, fplan, &mut drops, net, &mut jit, scratch, report,
-                timed_out, arrived,
-            );
-            std::mem::swap(&mut scratch.cur, &mut scratch.nxt);
-        }
+        fs.timed_out.clear();
+        fs.timed_out.resize(p, false);
+        fs.arrived.clear();
+        fs.arrived.resize(p, 0);
+        let mut pol = Faulty {
+            fault,
+            fplan,
+            placement: self.placement,
+            drops: DropStream::new(seed, rep),
+            loss_delay: fault.loss_delay(),
+            timed_out: &mut fs.timed_out,
+            arrived: &mut fs.arrived,
+            report,
+        };
+        let kernel = Kernel {
+            sim: *self,
+            plan,
+            payload,
+            ranks: None,
+            lanes: 1,
+            stream,
+        };
+        kernel.run(stages, net, jitter, &mut pol);
+        debug_assert_eq!(
+            pol.drops.drawn(),
+            fault_drop_draws(plan),
+            "the fault policy consumed a different drop-draw count than the plan reports"
+        );
         for (i, out) in report.outcomes.iter_mut().enumerate() {
             *out = if fplan.crash_time[i] < f64::INFINITY {
                 RankOutcome::Crashed(fplan.crash_time[i])
-            } else if timed_out[i] {
-                RankOutcome::TimedOut(scratch.cur[i])
+            } else if fs.timed_out[i] {
+                RankOutcome::TimedOut(stages.cur[i])
             } else {
-                RankOutcome::Completed(scratch.cur[i])
+                RankOutcome::Completed(stages.cur[i])
             };
-        }
-        debug_assert_eq!(
-            drops.drawn(),
-            fault_drop_draws(plan),
-            "faulty executor consumed a different drop-draw count than the plan reports"
-        );
-        debug_assert!(
-            self.params.jitter.sigma == 0.0 || jit.consumed() == plan.jitter_draws(),
-            "faulty executor consumed a different jitter-draw count than the plan reports"
-        );
-        scratch.jitter = jit;
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_stage_faulty(
-        &self,
-        plan: &CompiledPattern,
-        payload: &PayloadSchedule,
-        s: usize,
-        fault: &FaultModel,
-        fplan: &FaultPlan,
-        drops: &mut DropStream,
-        net: &mut NetState,
-        jit: &mut hpm_stats::rng::JitterBuf,
-        scratch: &mut SimScratch,
-        report: &mut FaultReport,
-        timed_out: &mut [bool],
-        arrived: &mut [usize],
-    ) {
-        use hpm_stats::rng::JitterSource;
-        let p = plan.p();
-        let stage = plan.stage(s);
-        let bytes = payload.bytes(s);
-        let SimScratch {
-            cur,
-            nxt,
-            posted,
-            last_arrival,
-            ..
-        } = scratch;
-        for (i, (post, &e)) in posted.iter_mut().zip(cur.iter()).enumerate() {
-            let slow = fplan.node_slow[self.placement.node_of(i)];
-            *post = e + self.params.call_overhead * jit.next_mult() * slow;
-        }
-        nxt.copy_from_slice(posted);
-        last_arrival.fill(f64::NEG_INFINITY);
-        arrived[..p].fill(0);
-        for i in 0..p {
-            let mut t = posted[i];
-            for &j in stage.dsts(i) {
-                match net.signal_round_trip_faulty(
-                    self.params,
-                    self.placement,
-                    jit,
-                    fault,
-                    fplan,
-                    drops,
-                    i,
-                    j,
-                    t,
-                    bytes,
-                    posted[j],
-                ) {
-                    SignalFate::Delivered {
-                        ack,
-                        processed,
-                        retries,
-                        retry_delay,
-                    } => {
-                        t = ack;
-                        report.retries += retries as u64;
-                        report.retry_delay += retry_delay;
-                        arrived[j] += 1;
-                        if processed > last_arrival[j] {
-                            last_arrival[j] = processed;
-                        }
-                    }
-                    SignalFate::Lost { gave_up } => {
-                        report.lost_signals += 1;
-                        timed_out[i] = true;
-                        t = gave_up;
-                    }
-                    SignalFate::SenderDead => {
-                        report.suppressed_signals += 1;
-                    }
-                }
-            }
-            if t > nxt[i] {
-                nxt[i] = t;
-            }
-        }
-        for j in 0..p {
-            if last_arrival[j] > nxt[j] {
-                nxt[j] = last_arrival[j];
-            }
-            // A surviving rank missing an expected arrival waits out the
-            // sender-symmetric retry budget past its post, then gives up.
-            if arrived[j] < stage.in_degree(j) && fplan.crash_time[j] == f64::INFINITY {
-                timed_out[j] = true;
-                let gave_up = posted[j] + fault.loss_delay();
-                if gave_up > nxt[j] {
-                    nxt[j] = gave_up;
-                }
-            }
         }
     }
 
     /// Repeated faulty cold-start runs with independent fault and jitter
     /// streams per repetition, fanned out on [`hpm_par`]. Repetition `r`
-    /// is bit-identical to a lone [`BarrierSim::run_once_faulty`] at
-    /// `rep = r` — grouping into workers is invisible, exactly like the
-    /// lane batching of the healthy `measure`.
+    /// is bit-identical to a lone [`BarrierSim::run_once`] at `rep = r`
+    /// with label [`BARRIER_JITTER_LABEL`], at any thread count. Every
+    /// repetition runs the fault policy, even under [`FaultModel::NONE`].
+    ///
     /// # Panics
     ///
     /// Panics when `fault` fails [`FaultModel::checked`], naming the
@@ -475,38 +313,47 @@ impl BarrierSim<'_> {
         reps: usize,
         seed: u64,
     ) -> Vec<FaultReport> {
+        self.fan_out_faulty(
+            plan,
+            payload,
+            fault,
+            reps,
+            seed,
+            |scratch, _, _: &mut (), _| scratch.report.clone(),
+        )
+    }
+
+    /// Fans `reps` cold-start faulty attempts out on [`hpm_par`] —
+    /// repetition `r` realizes its faults from `(seed, FAULT_LABEL, r)`
+    /// and its jitter from `(seed, BARRIER_JITTER_LABEL, r)` — and maps
+    /// each finished attempt through `finish`, with per-worker state.
+    pub(crate) fn fan_out_faulty<S: Default, U: Send>(
+        &self,
+        plan: &CompiledPattern,
+        payload: &PayloadSchedule,
+        fault: &FaultModel,
+        reps: usize,
+        seed: u64,
+        finish: impl Fn(&mut SimScratch, &mut NetState, &mut S, u64) -> U + Sync,
+    ) -> Vec<U> {
         if let Err(e) = fault.checked() {
-            panic!("measure_faulty: invalid FaultModel: {e}");
+            panic!("invalid FaultModel: {e}");
         }
         let zeros = vec![0.0; plan.p()];
-        hpm_par::par_map_indexed_with(
-            reps,
-            || {
-                (
-                    SimScratch::new(self.placement),
-                    NetState::new(self.placement),
-                    FaultScratch::new(),
-                )
-            },
-            |(scratch, net, fs), r| {
-                net.reset();
-                let mut report = FaultReport::new(plan.p());
-                self.run_once_faulty_into(
-                    plan,
-                    payload,
-                    fault,
-                    &zeros,
-                    net,
-                    seed,
-                    crate::barrier::BARRIER_JITTER_LABEL,
-                    r as u64,
-                    scratch,
-                    fs,
-                    &mut report,
-                );
-                report
-            },
-        )
+        let init = || {
+            let (scratch, net) = (
+                SimScratch::new(self.placement),
+                NetState::new(self.placement),
+            );
+            (scratch, net, S::default())
+        };
+        hpm_par::par_map_indexed_with(reps, init, |(scratch, net, state), r| {
+            let rep = r as u64;
+            net.reset();
+            let stream = (seed, BARRIER_JITTER_LABEL, rep);
+            self.run_faulty(plan, payload, fault, None, &zeros, net, stream, scratch);
+            finish(scratch, net, state, rep)
+        })
     }
 }
 
@@ -553,6 +400,31 @@ mod tests {
         (params, placement)
     }
 
+    /// One lone cold-start run of the fault policy at `(seed, rep)` —
+    /// even under `FaultModel::NONE`, unlike `run_once`.
+    fn lone_faulty(
+        sim: &BarrierSim<'_>,
+        plan: &CompiledPattern,
+        fault: &FaultModel,
+        seed: u64,
+        rep: u64,
+        scratch: &mut SimScratch,
+    ) -> FaultReport {
+        let mut net = NetState::new(sim.placement);
+        let zeros = vec![0.0; plan.p()];
+        sim.run_faulty(
+            plan,
+            &PayloadSchedule::none(),
+            fault,
+            None,
+            &zeros,
+            &mut net,
+            (seed, BARRIER_JITTER_LABEL, rep),
+            scratch,
+        );
+        scratch.report.clone()
+    }
+
     /// The zero-fault property of the tentpole: a `FaultModel::NONE` run
     /// is bitwise identical to the fault-free batched engine, sample by
     /// sample.
@@ -567,18 +439,7 @@ mod tests {
         let mut scratch = SimScratch::new(&placement);
         for rep in 0..8u64 {
             let healthy = sim.run_total_batched(&plan, &payload, 4242, rep, &mut net, &mut scratch);
-            net.reset();
-            let report = sim.run_once_faulty(
-                &plan,
-                &payload,
-                &FaultModel::NONE,
-                &vec![0.0; p],
-                &mut net,
-                4242,
-                crate::barrier::BARRIER_JITTER_LABEL,
-                rep,
-                &mut scratch,
-            );
+            let report = lone_faulty(&sim, &plan, &FaultModel::NONE, 4242, rep, &mut scratch);
             assert!(report.all_completed());
             assert_eq!(report.retries, 0);
             assert_eq!(report.lost_signals, 0);
@@ -591,7 +452,7 @@ mod tests {
     }
 
     /// Faulty repetitions are bit-identical at any thread count, and
-    /// `measure_faulty` rep `r` equals a lone `run_once_faulty` at `r`.
+    /// `measure_faulty` rep `r` equals a lone `run_once` at `r`.
     #[test]
     fn faulty_measure_is_thread_invariant_and_rep_keyed() {
         let p = 24;
@@ -613,18 +474,18 @@ mod tests {
         let mut scratch = SimScratch::new(&placement);
         for (r, rep_report) in serial.iter().enumerate() {
             net.reset();
-            let lone = sim.run_once_faulty(
+            let lone = sim.run_once(
                 &plan,
                 &payload,
                 &fault,
                 &vec![0.0; p],
                 &mut net,
                 99,
-                crate::barrier::BARRIER_JITTER_LABEL,
+                BARRIER_JITTER_LABEL,
                 r as u64,
                 &mut scratch,
             );
-            assert_eq!(*rep_report, lone, "rep {r}");
+            assert_eq!(rep_report, lone, "rep {r}");
         }
     }
 
@@ -637,29 +498,16 @@ mod tests {
         let (params, placement) = sim_fixture(p);
         let sim = BarrierSim::new(&params, &placement);
         let plan = dissemination(p);
-        let payload = PayloadSchedule::none();
         assert_eq!(
             fault_drop_draws(&plan),
             (0..plan.stages())
                 .map(|s| plan.stage(s).edge_count())
                 .sum::<usize>()
         );
-        let mut net = NetState::new(&placement);
         let mut scratch = SimScratch::new(&placement);
         for fault in [FaultModel::NONE, faulty_model()] {
-            net.reset();
-            let _ = sim.run_once_faulty(
-                &plan,
-                &payload,
-                &fault,
-                &vec![0.0; p],
-                &mut net,
-                7,
-                crate::barrier::BARRIER_JITTER_LABEL,
-                0,
-                &mut scratch,
-            );
-            // The debug asserts inside run_once_faulty enforce the
+            let _ = lone_faulty(&sim, &plan, &fault, 7, 0, &mut scratch);
+            // The debug asserts inside run_faulty enforce the
             // counts; in release builds this test still pins the jitter
             // cursor through the scratch.
             assert_eq!(scratch.jitter().consumed(), plan.jitter_draws());

@@ -14,24 +14,26 @@
 //!   the behaviour the Eq. 5.4 factor 2 models;
 //! * the posted-receive fast path: a message reaching a process that is
 //!   already waiting avoids the unexpected-message buffer penalty;
-//! * multiplicative log-normal OS jitter on every timed activity,
-//!   delivered either scalar (`StdRng` + Box-Muller) or through the
-//!   batched jitter engine: tables pre-filled to the compiled pattern's
-//!   exact draw count, consumed by cursor, executed over SoA lanes
-//!   ([`batch`]) — see DESIGN.md, "The jitter engine".
+//! * multiplicative log-normal OS jitter on every timed activity, from
+//!   jitter tables batch-filled to the compiled pattern's exact draw
+//!   count and consumed by cursor — see DESIGN.md, "The jitter engine".
 //!
-//! On top of the raw message engine sit the Fig. 5.5 staged barrier
-//! executor ([`barrier`]), the §5.6.3 platform microbenchmarks
-//! ([`microbench`]) which extract the `O`/`L`/`β` matrices *exactly the way
-//! an application could* (medians and regression over simulated timings,
-//! never by peeking at the true parameters), and a background-transfer
-//! resolver ([`exchange`]) used by the BSPlib runtime to model overlapped
-//! one-sided communication.
-
-//! The recovery layer ([`recovery`]) closes the fault loop: when the
-//! faulty executor reports crashed ranks, survivors detect, agree, and
-//! finish the collective over a survivor re-plan — see DESIGN.md, "The
-//! recovery layer".
+//! Every barrier execution — measurement batches, the BSPlib sync,
+//! faulty runs and the recovery re-execution — runs one stage kernel
+//! ([`batch`]) over lane-major state, behind one fault-policy seam: the
+//! healthy policy compiles to the fault-free arithmetic, the fault
+//! policy ([`faults`]) adds crashes, drops, degraded links and
+//! stragglers. Its entry points are on [`BarrierSim`] ([`barrier`]); the
+//! signal step it shares with the message engine lives in [`net`]. The
+//! recovery layer ([`recovery`]) closes the fault loop: survivors detect,
+//! agree, and finish the collective over a survivor re-plan.
+//!
+//! Around the kernel sit the §5.6.3 platform microbenchmarks
+//! ([`microbench`]), which extract the `O`/`L`/`β` matrices *exactly the
+//! way an application could* (medians and regression over simulated
+//! timings, never by peeking at the true parameters), and a
+//! background-transfer resolver ([`exchange`]) used by the BSPlib
+//! runtime to model overlapped one-sided communication.
 
 pub mod barrier;
 pub mod batch;
@@ -48,11 +50,11 @@ pub use exchange::{
     exchange_jitter_draws, resolve_exchange, resolve_exchange_into, ExchangeMsg, ExchangeResult,
     ExchangeScratch,
 };
-pub use faults::{fault_drop_draws, FaultReport, FaultScratch, RankOutcome};
+pub use faults::{fault_drop_draws, FaultReport, RankOutcome};
 pub use microbench::{
     bench_platform, bench_platform_classes, ClassCosts, ClassProfile, MicrobenchConfig,
     PlatformProfile,
 };
-pub use net::{FaultyTransfer, NetState, SignalFate};
+pub use net::NetState;
 pub use params::{LinkCost, PlatformParams};
 pub use recovery::{consensus_cost, RecoveryReport, RecoveryScratch, RECOVERY_JITTER_LABEL};

@@ -23,7 +23,7 @@ use hpm_core::plan::SIGNAL_JITTER_DRAWS;
 use hpm_core::predictor::{CommCosts, CostModel};
 use hpm_stats::quantile::quantile_inplace;
 use hpm_stats::regression::LinearFit;
-use hpm_stats::rng::{JitterBuf, JitterSource};
+use hpm_stats::rng::JitterBuf;
 use hpm_stats::stream::SplitMix64;
 use hpm_topology::{LinkClass, Placement};
 

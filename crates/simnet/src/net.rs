@@ -1,83 +1,144 @@
 //! The message engine: NIC egress queues, receive serialization, signal
 //! round trips and one-sided transfers.
 //!
-//! Two message disciplines exist, matching the two ways the thesis'
-//! software stack moves data:
-//!
 //! * [`NetState::signal_round_trip`] — small control signals (barrier
-//!   stages). The sender is occupied until the transport-level
-//!   acknowledgement returns; this per-message round trip is the platform
-//!   behaviour that the Eq. 5.4 factor 2 models.
+//!   stages): the sender is occupied until the transport-level
+//!   acknowledgement returns, the behaviour the Eq. 5.4 factor 2 models.
+//!   Its arithmetic is `round_trip`, the one copy of the send → wire →
+//!   receive → ack step, which the stage kernel runs lane by lane.
 //! * [`NetState::transfer`] — one-sided bulk transfers (BSPlib put/get
-//!   payloads). Fire-and-forget from the sender's perspective; the
-//!   receiving communication thread absorbs them in the background.
+//!   payloads), absorbed by the receiver's communication thread.
 //!
-//! Receive processing at each process is serialized (one communication
-//! thread per process, §6.2); remote messages from cohabiting processes
-//! serialize at their node's NIC egress. Within one resolution pass,
-//! messages are handled in a deterministic global order (senders by rank,
-//! sends by destination), a documented approximation of true event order
-//! whose error is bounded by single `o_recv` magnitudes.
-//!
-//! Jitter multipliers arrive through a [`JitterSource`], never drawn
-//! here: scalar callers pass a [`hpm_stats::rng::ScalarJitter`] over
-//! their `StdRng`, hot paths pass a batch-filled
-//! [`hpm_stats::rng::JitterBuf`]. A signal consumes
-//! [`hpm_core::plan::SIGNAL_JITTER_DRAWS`] multipliers, a non-self
-//! transfer [`crate::exchange::TRANSFER_JITTER_DRAWS`] — counts the
-//! batched engine sizes its tables by.
+//! Receive processing is serialized per process (§6.2) and remote
+//! messages from cohabiting processes serialize at their node's NIC.
+//! Jitter multipliers come from a batch-filled [`JitterBuf`]: a signal
+//! consumes [`hpm_core::plan::SIGNAL_JITTER_DRAWS`], a non-self transfer
+//! [`crate::exchange::TRANSFER_JITTER_DRAWS`].
 
-use crate::params::PlatformParams;
-use hpm_stats::fault::{attempts_from_uniform, DropStream, FaultModel, FaultPlan};
-use hpm_stats::rng::JitterSource;
+use crate::batch::{Healthy, Policy};
+use crate::params::{LinkCost, PlatformParams};
+use hpm_core::plan::SIGNAL_JITTER_DRAWS;
+use hpm_stats::rng::JitterBuf;
 use hpm_topology::{LinkClass, Placement};
 
-/// What became of one drop-aware signal (see
-/// [`NetState::signal_round_trip_faulty`]).
+/// Mutable network state: per-node NIC egress availability and per-process
+/// receive-processing availability (lane-major inside a lane batch). The
+/// default state has no queues; [`NetState::new`] sizes one for a
+/// placement.
+#[derive(Debug, Clone, Default)]
+pub struct NetState {
+    pub(crate) nic_free: Vec<f64>,
+    pub(crate) recv_busy: Vec<f64>,
+}
+
+/// The fault terms of one signal, fixed by the kernel's policy before
+/// the signal's lanes run: node slowdowns on `o_send`/`o_recv`, link
+/// degradation on the wire and ack terms, the delivery attempts the drop
+/// draw decided (`lost` beyond the retry budget, whose full cost is
+/// `loss_delay`), the backed-off `retry_delay` of the dropped attempts,
+/// and the endpoints' crash times (∞ = alive). [`Hazard::NONE`] is the
+/// healthy signal: every multiplier exactly 1.0, which the compiler folds
+/// away.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Hazard {
+    pub slow_src: f64,
+    pub slow_dst: f64,
+    pub wire_deg: f64,
+    pub attempts: u32,
+    pub lost: bool,
+    pub retry_delay: f64,
+    pub loss_delay: f64,
+    pub src_crash: f64,
+    pub dst_crash: f64,
+}
+
+impl Hazard {
+    pub(crate) const NONE: Hazard = Hazard {
+        slow_src: 1.0,
+        slow_dst: 1.0,
+        wire_deg: 1.0,
+        attempts: 1,
+        lost: false,
+        retry_delay: 0.0,
+        loss_delay: 0.0,
+        src_crash: f64::INFINITY,
+        dst_crash: f64::INFINITY,
+    };
+}
+
+/// What became of one signal.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SignalFate {
-    /// Delivered after `retries` retransmissions; `retry_delay` is the
-    /// backed-off timeout latency those retransmissions added.
-    Delivered {
-        /// Acknowledgement time at the sender.
-        ack: f64,
-        /// Processing completion at the receiver.
-        processed: f64,
-        /// Retransmissions before the attempt that landed.
-        retries: u32,
-        /// Latency added by those retransmissions.
-        retry_delay: f64,
-    },
-    /// Undeliverable — every attempt dropped, or the receiver crashed.
-    /// The sender burned its full retry budget and moved on at `gave_up`.
-    Lost {
-        /// When the sender abandoned the signal.
-        gave_up: f64,
-    },
-    /// The sender had crashed before it could emit this signal.
+pub(crate) enum Fate {
+    /// Acknowledged at the sender at `ack`, processed by the receiver at
+    /// `processed`.
+    Delivered { ack: f64, processed: f64 },
+    /// Undeliverable — every attempt dropped, or the receiver crashed;
+    /// the sender moved on at this time.
+    Lost(f64),
+    /// The sender had crashed before it could emit the signal.
     SenderDead,
 }
 
-/// The receiver-side outcome of one drop-aware bulk transfer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultyTransfer {
-    /// Sender CPU release time (one-sided: independent of delivery).
-    pub send_done: f64,
-    /// Processing completion at the receiver; `None` when the transfer
-    /// was lost beyond the retry budget or an endpoint crashed.
-    pub processed: Option<f64>,
-    /// Retransmissions before the attempt that landed.
-    pub retries: u32,
-    /// Latency added by those retransmissions.
-    pub retry_delay: f64,
+/// The send → wire → receive → ack step of one signal, in the f64
+/// operation order DESIGN.md ("The flat simulation core") specifies.
+///
+/// `m` holds the signal's `o_send`/wire/`o_recv`/ack multipliers, `nic`
+/// the sender node's egress availability for a remote signal (`None`
+/// otherwise) and `recv_busy` the receiver's processing availability.
+/// Under a healthy policy every fault branch is compiled out and the
+/// hazard multipliers are constant 1.0, so this is exactly the
+/// fault-free recurrence; under the fault policy a neutral hazard
+/// reproduces it bit for bit (`x·1.0 = x`, `t + 0.0 = t`).
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn round_trip<P: Policy>(
+    params: &PlatformParams,
+    lc: &LinkCost,
+    wire_base: f64,
+    h: &Hazard,
+    nic: Option<&mut f64>,
+    recv_busy: &mut f64,
+    start: f64,
+    dst_posted_at: f64,
+    m: [f64; SIGNAL_JITTER_DRAWS],
+) -> Fate {
+    if P::FAULTY && start >= h.src_crash {
+        return Fate::SenderDead;
+    }
+    let send_done = start + lc.o_send * m[0] * h.slow_src;
+    if P::FAULTY && h.lost {
+        return Fate::Lost(send_done + h.loss_delay);
+    }
+    let ready = if P::FAULTY {
+        send_done + h.retry_delay
+    } else {
+        send_done
+    };
+    let arrival = depart(params, nic, ready) + wire_base * m[1] * h.wire_deg;
+    if P::FAULTY && arrival >= h.dst_crash {
+        return Fate::Lost(send_done + h.loss_delay);
+    }
+    let proc_start = if arrival < dst_posted_at {
+        dst_posted_at + params.unexpected_penalty
+    } else {
+        arrival
+    };
+    let processed = proc_start.max(*recv_busy) + lc.o_recv * m[2] * h.slow_dst;
+    *recv_busy = processed;
+    Fate::Delivered {
+        ack: processed + lc.latency * params.ack_factor * m[3] * h.wire_deg,
+        processed,
+    }
 }
 
-/// Mutable network state: per-node NIC egress availability and per-process
-/// receive-processing availability.
-#[derive(Debug, Clone)]
-pub struct NetState {
-    nic_free: Vec<f64>,
-    recv_busy: Vec<f64>,
+/// NIC egress serialization: a remote message ready at `ready` departs
+/// when its sender node's NIC (`nic`, `None` for a local message) frees up.
+#[inline(always)]
+fn depart(params: &PlatformParams, nic: Option<&mut f64>, ready: f64) -> f64 {
+    let Some(free) = nic else { return ready };
+    let dep = ready.max(*free);
+    *free = dep + params.nic_gap;
+    dep
 }
 
 impl NetState {
@@ -91,31 +152,11 @@ impl NetState {
 
     /// Resets all queues to time zero.
     pub fn reset(&mut self) {
-        self.nic_free.iter_mut().for_each(|t| *t = 0.0);
-        self.recv_busy.iter_mut().for_each(|t| *t = 0.0);
+        self.nic_free.fill(0.0);
+        self.recv_busy.fill(0.0);
     }
 
-    /// Applies NIC egress serialization: a remote message ready at `ready`
-    /// departs when the sender node's NIC frees up.
-    fn depart(
-        &mut self,
-        params: &PlatformParams,
-        placement: &Placement,
-        src: usize,
-        dst: usize,
-        ready: f64,
-    ) -> f64 {
-        if placement.link(src, dst) == LinkClass::Remote {
-            let node = placement.node_of(src);
-            let dep = ready.max(self.nic_free[node]);
-            self.nic_free[node] = dep + params.nic_gap;
-            dep
-        } else {
-            ready
-        }
-    }
-
-    /// One signal message with acknowledgement round trip.
+    /// One healthy signal message with acknowledgement round trip.
     ///
     /// * `start` — sender CPU time when it begins this message;
     /// * `bytes` — payload size (barrier payloads, §6.5);
@@ -124,31 +165,37 @@ impl NetState {
     ///
     /// Returns `(ack_at_sender, processed_at_receiver)`.
     #[allow(clippy::too_many_arguments)]
-    pub fn signal_round_trip<J: JitterSource>(
+    pub fn signal_round_trip(
         &mut self,
         params: &PlatformParams,
         placement: &Placement,
-        jit: &mut J,
+        jit: &mut JitterBuf,
         src: usize,
         dst: usize,
         start: f64,
         bytes: u64,
         dst_posted_at: f64,
     ) -> (f64, f64) {
-        let lc = params.link(placement.link(src, dst));
-        let send_done = start + lc.o_send * jit.next_mult();
-        let dep = self.depart(params, placement, src, dst, send_done);
-        let wire = (lc.latency + bytes as f64 * lc.inv_bandwidth) * jit.next_mult();
-        let arrival = dep + wire;
-        let proc_start = if arrival < dst_posted_at {
-            dst_posted_at + params.unexpected_penalty
-        } else {
-            arrival
-        };
-        let processed = proc_start.max(self.recv_busy[dst]) + lc.o_recv * jit.next_mult();
-        self.recv_busy[dst] = processed;
-        let ack = processed + lc.latency * params.ack_factor * jit.next_mult();
-        (ack, processed)
+        let class = placement.link(src, dst);
+        let lc = params.link(class);
+        let mut m = [0.0; SIGNAL_JITTER_DRAWS];
+        m.fill_with(|| jit.next_mult());
+        let wire_base = lc.latency + bytes as f64 * lc.inv_bandwidth;
+        let nic = (class == LinkClass::Remote).then(|| &mut self.nic_free[placement.node_of(src)]);
+        match round_trip::<Healthy>(
+            params,
+            &lc,
+            wire_base,
+            &Hazard::NONE,
+            nic,
+            &mut self.recv_busy[dst],
+            start,
+            dst_posted_at,
+            m,
+        ) {
+            Fate::Delivered { ack, processed } => (ack, processed),
+            _ => unreachable!("healthy signals always deliver"),
+        }
     }
 
     /// One-sided bulk transfer: the sender pays only `o_send`; the message
@@ -157,11 +204,11 @@ impl NetState {
     ///
     /// Returns `(send_cpu_done, processed_at_receiver)`.
     #[allow(clippy::too_many_arguments)]
-    pub fn transfer<J: JitterSource>(
+    pub fn transfer(
         &mut self,
         params: &PlatformParams,
         placement: &Placement,
-        jit: &mut J,
+        jit: &mut JitterBuf,
         src: usize,
         dst: usize,
         bytes: u64,
@@ -175,183 +222,16 @@ impl NetState {
             let done = issue + bytes as f64 * lc.inv_bandwidth;
             return (done, done);
         }
-        let lc = params.link(placement.link(src, dst));
+        let class = placement.link(src, dst);
+        let lc = params.link(class);
         let send_done = issue + lc.o_send * jit.next_mult();
-        let dep = self.depart(params, placement, src, dst, send_done);
+        let nic = (class == LinkClass::Remote).then(|| &mut self.nic_free[placement.node_of(src)]);
+        let dep = depart(params, nic, send_done);
         let wire = (lc.latency + bytes as f64 * lc.inv_bandwidth) * jit.next_mult();
         let arrival = dep + wire;
         let processed = arrival.max(self.recv_busy[dst]) + lc.o_recv * jit.next_mult();
         self.recv_busy[dst] = processed;
         (send_done, processed)
-    }
-
-    /// [`NetState::signal_round_trip`] with fault semantics: the signal
-    /// may be dropped (timeout → retransmit → exponential backoff, cost
-    /// per [`FaultModel::retry_delay`]), slowed by its endpoints' slow
-    /// periods, stretched by degraded links, or suppressed entirely by a
-    /// crashed sender/receiver.
-    ///
-    /// Randomness contract: exactly **one** uniform from `drops` and
-    /// [`hpm_core::plan::SIGNAL_JITTER_DRAWS`] multipliers from `jit`
-    /// are consumed per call, whatever the fate — so the cursor
-    /// contracts of the batched engine extend to faults unchanged, and
-    /// a neutral [`FaultPlan`] reproduces the fault-free arithmetic
-    /// bit-for-bit (`×1.0` and `+0.0` are IEEE-754 identities on the
-    /// simulator's non-negative times).
-    ///
-    /// Approximation: a signal lost beyond the retry budget does not
-    /// occupy the NIC for its failed attempts (only delivered signals
-    /// touch the egress queue).
-    #[allow(clippy::too_many_arguments)]
-    pub fn signal_round_trip_faulty<J: JitterSource>(
-        &mut self,
-        params: &PlatformParams,
-        placement: &Placement,
-        jit: &mut J,
-        fault: &FaultModel,
-        fplan: &FaultPlan,
-        drops: &mut DropStream,
-        src: usize,
-        dst: usize,
-        start: f64,
-        bytes: u64,
-        dst_posted_at: f64,
-    ) -> SignalFate {
-        // Fixed consumption up front, in the fault-free draw order.
-        let u = drops.next_uniform();
-        let m_send = jit.next_mult();
-        let m_wire = jit.next_mult();
-        let m_recv = jit.next_mult();
-        let m_ack = jit.next_mult();
-        if fplan.crashed_at(src, start) {
-            return SignalFate::SenderDead;
-        }
-        let class = placement.link(src, dst);
-        let lc = params.link(class);
-        let (src_node, dst_node) = (placement.node_of(src), placement.node_of(dst));
-        let drop_p = if class == LinkClass::Remote {
-            fault.drop.remote
-        } else {
-            fault.drop.local
-        };
-        let send_done = start + lc.o_send * m_send * fplan.node_slow[src_node];
-        let attempts = attempts_from_uniform(u, drop_p);
-        if attempts > fault.max_retries + 1 {
-            return SignalFate::Lost {
-                gave_up: send_done + fault.loss_delay(),
-            };
-        }
-        let retry_delay = fault.retry_delay(attempts);
-        let dep = self.depart(params, placement, src, dst, send_done + retry_delay);
-        let wire_deg = fplan.wire_mult(src_node, dst_node);
-        let wire = (lc.latency + bytes as f64 * lc.inv_bandwidth) * m_wire * wire_deg;
-        let arrival = dep + wire;
-        if fplan.crashed_at(dst, arrival) {
-            return SignalFate::Lost {
-                gave_up: send_done + fault.loss_delay(),
-            };
-        }
-        let proc_start = if arrival < dst_posted_at {
-            dst_posted_at + params.unexpected_penalty
-        } else {
-            arrival
-        };
-        let processed =
-            proc_start.max(self.recv_busy[dst]) + lc.o_recv * m_recv * fplan.node_slow[dst_node];
-        self.recv_busy[dst] = processed;
-        let ack = processed + lc.latency * params.ack_factor * m_ack * wire_deg;
-        SignalFate::Delivered {
-            ack,
-            processed,
-            retries: attempts - 1,
-            retry_delay,
-        }
-    }
-
-    /// [`NetState::transfer`] with fault semantics: one-sided, so the
-    /// sender's CPU is released at `send_done` regardless; drops are
-    /// retransmitted by the communication thread (adding
-    /// [`FaultModel::retry_delay`] to the wire time) and give up after
-    /// the retry budget. Same fixed-consumption contract as
-    /// [`NetState::signal_round_trip_faulty`]: one drop uniform and
-    /// [`crate::exchange::TRANSFER_JITTER_DRAWS`] multipliers per
-    /// non-self call (self transfers stay draw-free).
-    #[allow(clippy::too_many_arguments)]
-    pub fn transfer_faulty<J: JitterSource>(
-        &mut self,
-        params: &PlatformParams,
-        placement: &Placement,
-        jit: &mut J,
-        fault: &FaultModel,
-        fplan: &FaultPlan,
-        drops: &mut DropStream,
-        src: usize,
-        dst: usize,
-        bytes: u64,
-        issue: f64,
-    ) -> FaultyTransfer {
-        if src == dst {
-            let lc = params.link(LinkClass::SameSocket);
-            let done = issue + bytes as f64 * lc.inv_bandwidth;
-            return FaultyTransfer {
-                send_done: done,
-                processed: Some(done),
-                retries: 0,
-                retry_delay: 0.0,
-            };
-        }
-        let u = drops.next_uniform();
-        let m_send = jit.next_mult();
-        let m_wire = jit.next_mult();
-        let m_recv = jit.next_mult();
-        if fplan.crashed_at(src, issue) {
-            return FaultyTransfer {
-                send_done: issue,
-                processed: None,
-                retries: 0,
-                retry_delay: 0.0,
-            };
-        }
-        let class = placement.link(src, dst);
-        let lc = params.link(class);
-        let (src_node, dst_node) = (placement.node_of(src), placement.node_of(dst));
-        let drop_p = if class == LinkClass::Remote {
-            fault.drop.remote
-        } else {
-            fault.drop.local
-        };
-        let send_done = issue + lc.o_send * m_send * fplan.node_slow[src_node];
-        let attempts = attempts_from_uniform(u, drop_p);
-        if attempts > fault.max_retries + 1 {
-            return FaultyTransfer {
-                send_done,
-                processed: None,
-                retries: fault.max_retries,
-                retry_delay: fault.loss_delay(),
-            };
-        }
-        let retry_delay = fault.retry_delay(attempts);
-        let dep = self.depart(params, placement, src, dst, send_done + retry_delay);
-        let wire_deg = fplan.wire_mult(src_node, dst_node);
-        let wire = (lc.latency + bytes as f64 * lc.inv_bandwidth) * m_wire * wire_deg;
-        let arrival = dep + wire;
-        if fplan.crashed_at(dst, arrival) {
-            return FaultyTransfer {
-                send_done,
-                processed: None,
-                retries: attempts - 1,
-                retry_delay,
-            };
-        }
-        let processed =
-            arrival.max(self.recv_busy[dst]) + lc.o_recv * m_recv * fplan.node_slow[dst_node];
-        self.recv_busy[dst] = processed;
-        FaultyTransfer {
-            send_done,
-            processed: Some(processed),
-            retries: attempts - 1,
-            retry_delay,
-        }
     }
 }
 
@@ -359,20 +239,18 @@ impl NetState {
 mod tests {
     use super::*;
     use crate::params::xeon_cluster_params;
-    use hpm_stats::rng::{derive_rng, ScalarJitter};
     use hpm_topology::{cluster_8x2x4, PlacementPolicy};
 
-    fn setup(n: usize) -> (PlatformParams, Placement) {
+    /// Noiseless parameters: an unfilled [`JitterBuf`] serves exact ones.
+    fn setup(n: usize) -> (PlatformParams, Placement, JitterBuf) {
         let params = xeon_cluster_params().noiseless();
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, n);
-        (params, placement)
+        (params, placement, JitterBuf::new())
     }
 
     #[test]
     fn local_signal_is_cheap_remote_is_expensive() {
-        let (params, placement) = setup(16);
-        let mut rng = derive_rng(1, 0);
-        let mut jit = ScalarJitter::new(params.jitter, &mut rng);
+        let (params, placement, mut jit) = setup(16);
         // Ranks 0 and 2 share node 0; ranks 0 and 1 are on different nodes.
         let mut net = NetState::new(&placement);
         let (ack_local, _) =
@@ -388,9 +266,7 @@ mod tests {
 
     #[test]
     fn nic_serializes_cohabiting_senders() {
-        let (params, placement) = setup(16);
-        let mut rng = derive_rng(2, 0);
-        let mut jit = ScalarJitter::new(params.jitter, &mut rng);
+        let (params, placement, mut jit) = setup(16);
         let mut net = NetState::new(&placement);
         // Ranks 0, 2, 4, 6 all live on node 0 (round-robin over 2 nodes);
         // they all signal remote peers at once.
@@ -411,9 +287,7 @@ mod tests {
 
     #[test]
     fn unexpected_message_pays_penalty() {
-        let (params, placement) = setup(16);
-        let mut rng = derive_rng(3, 0);
-        let mut jit = ScalarJitter::new(params.jitter, &mut rng);
+        let (params, placement, mut jit) = setup(16);
         let mut net = NetState::new(&placement);
         // Receiver posts late (at 1 ms): message waits and pays penalty.
         let (_, late) = net.signal_round_trip(&params, &placement, &mut jit, 0, 1, 0.0, 0, 1e-3);
@@ -425,9 +299,7 @@ mod tests {
 
     #[test]
     fn payload_bytes_cost_bandwidth() {
-        let (params, placement) = setup(16);
-        let mut rng = derive_rng(4, 0);
-        let mut jit = ScalarJitter::new(params.jitter, &mut rng);
+        let (params, placement, mut jit) = setup(16);
         let mut net = NetState::new(&placement);
         let (a0, _) = net.signal_round_trip(&params, &placement, &mut jit, 0, 1, 0.0, 0, 0.0);
         net.reset();
@@ -442,9 +314,7 @@ mod tests {
 
     #[test]
     fn receiver_serializes_processing() {
-        let (params, placement) = setup(16);
-        let mut rng = derive_rng(5, 0);
-        let mut jit = ScalarJitter::new(params.jitter, &mut rng);
+        let (params, placement, mut jit) = setup(16);
         let mut net = NetState::new(&placement);
         // Two remote senders (ranks 0 and 2, both node 0) hit rank 5
         // (node 1) simultaneously.
@@ -458,134 +328,63 @@ mod tests {
 
     #[test]
     fn transfer_releases_sender_early() {
-        let (params, placement) = setup(16);
-        let mut rng = derive_rng(6, 0);
-        let mut jit = ScalarJitter::new(params.jitter, &mut rng);
+        let (params, placement, mut jit) = setup(16);
         let mut net = NetState::new(&placement);
         let (cpu_done, processed) = net.transfer(&params, &placement, &mut jit, 0, 1, 1 << 20, 0.0);
         // The sender is free long before the megabyte lands: overlap.
         assert!(cpu_done < processed / 100.0, "{cpu_done} vs {processed}");
     }
 
-    /// A neutral fault plan routes `signal_round_trip_faulty` and
-    /// `transfer_faulty` through arithmetic bit-identical to the
-    /// fault-free methods.
+    /// The fault branches of the shared step: a neutral hazard under the
+    /// fault policy is bitwise the healthy step; a lost signal gives up
+    /// after the retry budget without touching the receiver; a dead
+    /// sender emits nothing.
     #[test]
-    fn neutral_faulty_paths_match_fault_free_bitwise() {
-        use hpm_stats::fault::{DropStream, FaultModel, FaultPlan};
-        let (_, placement) = setup(16);
-        let params = xeon_cluster_params(); // jittered: exercise the multipliers
-        let fplan = FaultPlan::neutral(16, placement.shape().nodes());
-        let mut drops = DropStream::new(1, 0);
-        // Signals: same jitter stream on both sides.
-        let mut rng_a = derive_rng(11, 0);
-        let mut rng_b = derive_rng(11, 0);
-        let mut jit_a = ScalarJitter::new(params.jitter, &mut rng_a);
-        let mut jit_b = ScalarJitter::new(params.jitter, &mut rng_b);
-        let mut net_a = NetState::new(&placement);
-        let mut net_b = NetState::new(&placement);
-        for (src, dst) in [(0usize, 1usize), (0, 2), (3, 12), (5, 5)] {
-            if src != dst {
-                let (ack, proc_at) = net_a
-                    .signal_round_trip(&params, &placement, &mut jit_a, src, dst, 1e-6, 64, 0.0);
-                match net_b.signal_round_trip_faulty(
-                    &params,
-                    &placement,
-                    &mut jit_b,
-                    &FaultModel::NONE,
-                    &fplan,
-                    &mut drops,
-                    src,
-                    dst,
-                    1e-6,
-                    64,
-                    0.0,
-                ) {
-                    SignalFate::Delivered {
-                        ack: f_ack,
-                        processed,
-                        retries,
-                        retry_delay,
-                    } => {
-                        assert_eq!(ack.to_bits(), f_ack.to_bits());
-                        assert_eq!(proc_at.to_bits(), processed.to_bits());
-                        assert_eq!((retries, retry_delay.to_bits()), (0, 0.0f64.to_bits()));
-                    }
-                    other => panic!("neutral signal must deliver, got {other:?}"),
-                }
-            }
-            let (done, proc_at) =
-                net_a.transfer(&params, &placement, &mut jit_a, src, dst, 4096, 2e-6);
-            let faulty = net_b.transfer_faulty(
-                &params,
-                &placement,
-                &mut jit_b,
-                &FaultModel::NONE,
-                &fplan,
-                &mut drops,
-                src,
-                dst,
-                4096,
-                2e-6,
-            );
-            assert_eq!(done.to_bits(), faulty.send_done.to_bits());
-            assert_eq!(
-                proc_at.to_bits(),
-                faulty
-                    .processed
-                    .expect("neutral transfer delivers")
-                    .to_bits()
-            );
+    fn hazard_branches_of_the_shared_step() {
+        use crate::batch::Policy;
+        struct Faulty;
+        impl Policy for Faulty {
+            const FAULTY: bool = true;
         }
-    }
-
-    /// Certain drop (attempts beyond any budget) loses the signal after
-    /// the full backed-off budget; a crashed sender never emits.
-    #[test]
-    fn hopeless_drops_and_dead_senders_lose_signals() {
-        use hpm_stats::fault::{DropProb, DropStream, FaultModel, FaultPlan};
-        let (params, placement) = setup(16);
-        let fault = FaultModel {
-            drop: DropProb::uniform(0.999_999),
-            max_retries: 2,
-            timeout: 1e-3,
-            backoff: 2.0,
-            ..FaultModel::NONE
+        let params = xeon_cluster_params();
+        let lc = params.remote;
+        let m = [1.01, 0.98, 1.03, 0.97];
+        let run = |h: &Hazard, faulty: bool| {
+            let (mut nic, mut rb) = (2e-6, 3e-6);
+            let fate = if faulty {
+                round_trip::<Faulty>(&params, &lc, 1e-5, h, Some(&mut nic), &mut rb, 1e-6, 0.0, m)
+            } else {
+                round_trip::<Healthy>(&params, &lc, 1e-5, h, Some(&mut nic), &mut rb, 1e-6, 0.0, m)
+            };
+            (fate, nic.to_bits(), rb.to_bits())
         };
-        let fplan = FaultPlan::neutral(16, placement.shape().nodes());
-        let mut drops = DropStream::new(2, 0);
-        let mut rng = derive_rng(12, 0);
-        let mut jit = ScalarJitter::new(params.jitter, &mut rng);
-        let mut net = NetState::new(&placement);
-        match net.signal_round_trip_faulty(
-            &params, &placement, &mut jit, &fault, &fplan, &mut drops, 0, 1, 0.0, 0, 0.0,
-        ) {
-            SignalFate::Lost { gave_up } => {
-                // Full budget: timeout·(1 + 2 + 4) past the send.
-                assert!(gave_up >= 7e-3, "gave_up {gave_up}");
-            }
-            other => panic!("near-certain drop must lose, got {other:?}"),
-        }
-        // Dead sender: fate is SenderDead, draws still consumed.
-        let mut crashed = FaultPlan::neutral(16, placement.shape().nodes());
-        crashed.crash_time[3] = 0.0;
-        let before = drops.drawn();
-        let fate = net.signal_round_trip_faulty(
-            &params, &placement, &mut jit, &fault, &crashed, &mut drops, 3, 1, 1.0, 0, 0.0,
-        );
-        assert_eq!(fate, SignalFate::SenderDead);
-        assert_eq!(drops.drawn(), before + 1);
-        let t = net.transfer_faulty(
-            &params, &placement, &mut jit, &fault, &crashed, &mut drops, 3, 1, 4096, 1.0,
-        );
-        assert_eq!(t.processed, None);
+        let neutral = Hazard {
+            loss_delay: 7e-3,
+            ..Hazard::NONE
+        };
+        assert_eq!(run(&neutral, true), run(&Hazard::NONE, false));
+        let lost = Hazard {
+            lost: true,
+            ..neutral
+        };
+        let (fate, _, rb) = run(&lost, true);
+        assert!(matches!(fate, Fate::Lost(t) if t >= 7e-3));
+        assert_eq!(rb, 3e-6f64.to_bits(), "a lost signal is never processed");
+        let dead = Hazard {
+            src_crash: 0.0,
+            ..neutral
+        };
+        assert_eq!(run(&dead, true).0, Fate::SenderDead);
+        let receiver_gone = Hazard {
+            dst_crash: 0.0,
+            ..neutral
+        };
+        assert!(matches!(run(&receiver_gone, true).0, Fate::Lost(_)));
     }
 
     #[test]
     fn self_transfer_is_memcpy_speed() {
-        let (params, placement) = setup(8);
-        let mut rng = derive_rng(7, 0);
-        let mut jit = ScalarJitter::new(params.jitter, &mut rng);
+        let (params, placement, mut jit) = setup(8);
         let mut net = NetState::new(&placement);
         let (_, done) = net.transfer(&params, &placement, &mut jit, 0, 0, 1 << 20, 0.0);
         let remote = params.remote.latency;

@@ -1,38 +1,21 @@
 //! Fault *recovery*: survivors detect the crash set, agree on it, and
 //! finish the collective over a repaired plan.
 //!
-//! [`crate::barrier::BarrierSim::run_once_recovering`] extends the
-//! faulty executor with the ULFM-style shrink-and-continue discipline.
-//! The repetition first runs exactly as
-//! [`crate::barrier::BarrierSim::run_once_faulty`] would — same fault,
-//! drop and jitter streams, same draw counts — and when every rank
-//! completes, the recovery layer never touches a stream, so the
-//! zero-crash run is *bitwise* the faulty run (neutrality by
-//! construction, pinned by tests). When ranks fail, the survivors pay:
-//!
-//! 1. **Detection** — a failed signal is only evidence after the full
-//!    retry budget; the detector closes at the last survivor's exit
-//!    from the attempt plus one [`FaultModel::timeout`] budget.
-//! 2. **Consensus** — survivors run a modeled agreement round on the
-//!    crash set: ⌈log₂ n⌉ dissemination rounds of one remote
-//!    zero-payload message each ([`consensus_cost`]), deliberately
-//!    draw-free so it perturbs no stream.
-//! 3. **Re-execution** — [`hpm_core::recovery::repair_plan`] synthesizes
-//!    a verified pattern over the survivors (compacted ranks translated
-//!    back to original ranks for link classification), executed from the
-//!    common post-consensus instant with jitter from the dedicated
-//!    `RECOVERY_JITTER_LABEL` stream — the attempt's streams are already
-//!    closed, so recovery cannot shift any healthy-path draw.
-//!
-//! Timed-out ranks are *alive* (they gave up waiting, they did not
-//! fail-stop), so they rejoin the repaired plan; only crashed ranks are
-//! excluded. An unrecoverable crash set (a rooted goal whose root
-//! crashed) leaves the attempt's outcomes standing and reports
-//! `recovered = false` — exactly the sets the analyzer's
-//! `unrecoverable-crash-set` rule flags statically.
+//! A recovering run is the faulty run — same streams, same draw counts —
+//! and when every rank completes, recovery touches nothing, so the
+//! zero-crash run is bitwise the faulty run. When ranks fail, survivors
+//! pay **detection** (last survivor exit plus one [`FaultModel::timeout`]),
+//! a draw-free modeled **consensus** ([`consensus_cost`]: ⌈log₂ n⌉ remote
+//! zero-payload rounds), and **re-execution** of
+//! [`hpm_core::recovery::repair_plan`] on the healthy kernel with the
+//! survivors as its rank map, from the post-consensus instant, with
+//! jitter from the dedicated `RECOVERY_JITTER_LABEL` stream. Timed-out
+//! ranks are alive and rejoin; crashed ranks stay out. An unrecoverable
+//! crash set (a rooted goal whose root crashed) leaves the attempt's
+//! outcomes standing with `recovered = false`.
 
 use crate::barrier::{BarrierSim, SimScratch};
-use crate::faults::{FaultReport, FaultScratch, RankOutcome};
+use crate::faults::{total_of, FaultReport, RankOutcome};
 use crate::net::NetState;
 use crate::params::PlatformParams;
 use hpm_core::knowledge::KnowledgeGoal;
@@ -48,10 +31,10 @@ pub const RECOVERY_JITTER_LABEL: u64 = 0x5243_5652;
 
 /// One recovering repetition: the faulty attempt's accounting plus what
 /// the recovery layer did about it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryReport {
-    /// The underlying faulty attempt, verbatim — bitwise what
-    /// `run_once_faulty` would have returned.
+    /// The underlying faulty attempt, verbatim — bitwise what the faulty
+    /// run would have reported.
     pub attempt: FaultReport,
     /// Final per-rank outcome after recovery: survivors of a successful
     /// re-plan are `Completed` at their repaired exit (timed-out ranks
@@ -73,55 +56,28 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// A fresh report for `p` ranks, ready to be filled by
-    /// [`BarrierSim::run_once_recovering_into`].
+    /// A fresh report for `p` ranks.
     #[must_use]
     pub fn new(p: usize) -> RecoveryReport {
         RecoveryReport {
             attempt: FaultReport::new(p),
             outcomes: vec![RankOutcome::Completed(0.0); p],
-            replanned: false,
-            recovered: false,
-            detection_time: 0.0,
-            consensus_cost: 0.0,
-            replan_stages: 0,
+            ..RecoveryReport::default()
         }
-    }
-
-    /// Resets to the fresh state for `p` ranks without shrinking
-    /// capacity, so reports reused across repetitions stay
-    /// allocation-free.
-    pub fn reset(&mut self, p: usize) {
-        self.attempt.reset(p);
-        self.outcomes.clear();
-        self.outcomes.resize(p, RankOutcome::Completed(0.0));
-        self.replanned = false;
-        self.recovered = false;
-        self.detection_time = 0.0;
-        self.consensus_cost = 0.0;
-        self.replan_stages = 0;
     }
 
     /// Worst-case exit time over ranks that finished (completed or
     /// timed out); `NEG_INFINITY` if everyone crashed.
     #[must_use]
     pub fn total(&self) -> f64 {
-        self.outcomes
-            .iter()
-            .fold(f64::NEG_INFINITY, |acc, o| match o {
-                RankOutcome::Completed(t) | RankOutcome::TimedOut(t) => acc.max(*t),
-                RankOutcome::Crashed(_) => acc,
-            })
+        total_of(&self.outcomes)
     }
 }
 
-/// Reusable per-worker state for the recovering executor: the faulty
-/// attempt's [`FaultScratch`] plus the crash/survivor partition the
-/// recovery phase computes.
+/// Reusable per-worker state of the recovery phase: the crash/survivor
+/// partition of the attempt.
 #[derive(Debug, Default)]
 pub struct RecoveryScratch {
-    /// Scratch for the underlying faulty attempt.
-    pub fault: FaultScratch,
     crashed: Vec<usize>,
     survivors: Vec<usize>,
 }
@@ -150,73 +106,12 @@ pub fn consensus_cost(params: &PlatformParams, survivors: usize) -> f64 {
 }
 
 impl BarrierSim<'_> {
-    /// One recovering cold-start run: the faulty attempt, then — if
-    /// ranks failed — detection, consensus and re-execution over the
-    /// survivors. Allocating convenience for
-    /// [`BarrierSim::run_once_recovering_into`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_once_recovering(
-        &self,
-        plan: &CompiledPattern,
-        payload: &PayloadSchedule,
-        goal: KnowledgeGoal,
-        fault: &FaultModel,
-        entry: &[f64],
-        net: &mut NetState,
-        seed: u64,
-        label: u64,
-        rep: u64,
-        scratch: &mut SimScratch,
-        rs: &mut RecoveryScratch,
-    ) -> RecoveryReport {
-        let mut out = RecoveryReport::new(plan.p());
-        self.run_once_recovering_into(
-            plan, payload, goal, fault, entry, net, seed, label, rep, scratch, rs, &mut out,
-        );
-        out
-    }
-
-    /// Allocation-free recovering run (on the no-failure path; a re-plan
-    /// synthesizes a fresh [`CompiledPattern`], which allocates). The
-    /// attempt phase is stream-for-stream
-    /// [`BarrierSim::run_once_faulty_into`]; see the module docs for the
-    /// recovery phases.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_once_recovering_into(
-        &self,
-        plan: &CompiledPattern,
-        payload: &PayloadSchedule,
-        goal: KnowledgeGoal,
-        fault: &FaultModel,
-        entry: &[f64],
-        net: &mut NetState,
-        seed: u64,
-        label: u64,
-        rep: u64,
-        scratch: &mut SimScratch,
-        rs: &mut RecoveryScratch,
-        out: &mut RecoveryReport,
-    ) {
-        out.reset(plan.p());
-        self.run_once_faulty_into(
-            plan,
-            payload,
-            fault,
-            entry,
-            net,
-            seed,
-            label,
-            rep,
-            scratch,
-            &mut rs.fault,
-            &mut out.attempt,
-        );
-        self.finish_recovery(plan, goal, fault, net, seed, rep, scratch, rs, out);
-    }
-
-    /// Recovering run under a caller-supplied [`FaultPlan`] (e.g.
+    /// One recovering run under a caller-supplied [`FaultPlan`] (e.g.
     /// [`FaultPlan::with_crashes`] for the deterministic registry
-    /// sweep) instead of one realized from the fault stream.
+    /// sweep): the faulty attempt from per-rank entry times, then — if
+    /// ranks failed — detection, consensus and re-execution over the
+    /// survivors. Allocation-free on the no-failure path (a re-plan
+    /// synthesizes a fresh [`CompiledPattern`], which allocates).
     #[allow(clippy::too_many_arguments)]
     pub fn run_once_recovering_with(
         &self,
@@ -234,29 +129,26 @@ impl BarrierSim<'_> {
         rs: &mut RecoveryScratch,
         out: &mut RecoveryReport,
     ) {
-        out.reset(plan.p());
-        self.run_once_faulty_with(
+        let stream = (seed, label, rep);
+        self.run_faulty(
             plan,
             payload,
             fault,
-            fplan,
+            Some(fplan),
             entry,
             net,
-            seed,
-            label,
-            rep,
+            stream,
             scratch,
-            &mut rs.fault,
-            &mut out.attempt,
         );
-        self.finish_recovery(plan, goal, fault, net, seed, rep, scratch, rs, out);
+        self.recover(plan, goal, fault, net, seed, rep, scratch, rs, out);
     }
 
     /// Detection → consensus → re-execution, given a finished attempt in
-    /// `out.attempt`. A clean attempt returns before touching anything —
-    /// the zero-crash neutrality guarantee rests on this early exit.
+    /// `scratch.report`. A clean attempt returns before touching anything
+    /// else — the zero-crash neutrality guarantee rests on this early
+    /// exit.
     #[allow(clippy::too_many_arguments)]
-    fn finish_recovery(
+    fn recover(
         &self,
         plan: &CompiledPattern,
         goal: KnowledgeGoal,
@@ -268,8 +160,11 @@ impl BarrierSim<'_> {
         rs: &mut RecoveryScratch,
         out: &mut RecoveryReport,
     ) {
-        out.outcomes.clear();
-        out.outcomes.extend_from_slice(&out.attempt.outcomes);
+        // Swapped, not cloned: the buffers trade places allocation-free.
+        std::mem::swap(&mut out.attempt, &mut scratch.report);
+        out.outcomes.clone_from(&out.attempt.outcomes);
+        (out.replanned, out.recovered, out.replan_stages) = (false, false, 0);
+        (out.detection_time, out.consensus_cost) = (0.0, 0.0);
         if out.attempt.all_completed() {
             out.recovered = true;
             return;
@@ -292,98 +187,31 @@ impl BarrierSim<'_> {
         };
         out.replanned = true;
         out.replan_stages = repaired.stages();
+        // The survivors re-execute healthily from the common
+        // post-consensus instant; `rs.survivors` maps compacted plan
+        // ranks back to original ranks.
         let t0 = out.detection_time + out.consensus_cost;
-        self.run_repaired(&repaired, &rs.survivors, t0, net, seed, rep, scratch);
+        scratch.stages.cur[..repaired.p()].fill(t0);
+        let stream = (seed, RECOVERY_JITTER_LABEL, rep);
+        self.run_healthy(
+            &repaired,
+            &PayloadSchedule::none(),
+            Some(&rs.survivors),
+            net,
+            stream,
+            scratch,
+        );
         for (i, &r) in rs.survivors.iter().enumerate() {
-            out.outcomes[r] = RankOutcome::Completed(scratch.cur[i]);
+            out.outcomes[r] = RankOutcome::Completed(scratch.stages.cur[i]);
         }
         out.recovered = true;
     }
 
-    /// Executes the repaired plan healthily over the survivors from the
-    /// common post-consensus instant `t0`. Plan ranks are compacted
-    /// survivor indices; `survivors[i]` translates back to the original
-    /// rank so link classification and in-flight
-    /// [`NetState`] contention see the real machine. Jitter comes from
-    /// `(seed, RECOVERY_JITTER_LABEL, rep)` and consumes exactly
-    /// `repaired.jitter_draws()`, keeping the static draw audit whole.
-    #[allow(clippy::too_many_arguments)]
-    fn run_repaired(
-        &self,
-        repaired: &CompiledPattern,
-        survivors: &[usize],
-        t0: f64,
-        net: &mut NetState,
-        seed: u64,
-        rep: u64,
-        scratch: &mut SimScratch,
-    ) {
-        use hpm_stats::rng::JitterSource;
-        let np = repaired.p();
-        debug_assert_eq!(np, survivors.len(), "repaired plan spans the survivors");
-        let mut jit = std::mem::take(&mut scratch.jitter);
-        jit.fill(
-            self.params.jitter.sigma,
-            seed,
-            RECOVERY_JITTER_LABEL,
-            rep,
-            repaired.jitter_draws(),
-        );
-        scratch.cur[..np].fill(t0);
-        for s in 0..repaired.stages() {
-            let stage = repaired.stage(s);
-            let SimScratch {
-                cur,
-                nxt,
-                posted,
-                last_arrival,
-                ..
-            } = scratch;
-            for i in 0..np {
-                posted[i] = cur[i] + self.params.call_overhead * jit.next_mult();
-            }
-            nxt[..np].copy_from_slice(&posted[..np]);
-            last_arrival[..np].fill(f64::NEG_INFINITY);
-            for i in 0..np {
-                let mut t = posted[i];
-                for &j in stage.dsts(i) {
-                    let (ack, processed) = net.signal_round_trip(
-                        self.params,
-                        self.placement,
-                        &mut jit,
-                        survivors[i],
-                        survivors[j],
-                        t,
-                        0,
-                        posted[j],
-                    );
-                    t = ack;
-                    if processed > last_arrival[j] {
-                        last_arrival[j] = processed;
-                    }
-                }
-                if t > nxt[i] {
-                    nxt[i] = t;
-                }
-            }
-            for j in 0..np {
-                if last_arrival[j] > nxt[j] {
-                    nxt[j] = last_arrival[j];
-                }
-            }
-            std::mem::swap(&mut scratch.cur, &mut scratch.nxt);
-        }
-        debug_assert!(
-            self.params.jitter.sigma == 0.0 || jit.consumed() == repaired.jitter_draws(),
-            "repaired execution consumed a different jitter-draw count than the plan reports"
-        );
-        scratch.jitter = jit;
-    }
-
     /// Repeated recovering cold-start runs with independent streams per
-    /// repetition, fanned out on [`hpm_par`]. Repetition `r` is
-    /// bit-identical to a lone [`BarrierSim::run_once_recovering`] at
-    /// `rep = r` whatever the thread count.
+    /// repetition, fanned out on [`hpm_par`]: repetition `r` realizes
+    /// its faults from `(seed, FAULT_LABEL, r)` and is bit-identical to
+    /// [`BarrierSim::run_once_recovering_with`] over that realized plan
+    /// at `rep = r`, whatever the thread count.
     ///
     /// # Panics
     ///
@@ -398,45 +226,18 @@ impl BarrierSim<'_> {
         reps: usize,
         seed: u64,
     ) -> Vec<RecoveryReport> {
-        if let Err(e) = fault.checked() {
-            panic!("measure_recovering: invalid FaultModel: {e}");
-        }
-        let zeros = vec![0.0; plan.p()];
-        hpm_par::par_map_indexed_with(
-            reps,
-            || {
-                (
-                    SimScratch::new(self.placement),
-                    NetState::new(self.placement),
-                    RecoveryScratch::new(),
-                )
-            },
-            |(scratch, net, rs), r| {
-                net.reset();
-                let mut out = RecoveryReport::new(plan.p());
-                self.run_once_recovering_into(
-                    plan,
-                    payload,
-                    goal,
-                    fault,
-                    &zeros,
-                    net,
-                    seed,
-                    crate::barrier::BARRIER_JITTER_LABEL,
-                    r as u64,
-                    scratch,
-                    rs,
-                    &mut out,
-                );
-                out
-            },
-        )
+        self.fan_out_faulty(plan, payload, fault, reps, seed, |scratch, net, rs, rep| {
+            let mut out = RecoveryReport::new(plan.p());
+            self.recover(plan, goal, fault, net, seed, rep, scratch, rs, &mut out);
+            out
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::barrier::BARRIER_JITTER_LABEL;
     use crate::params::xeon_cluster_params;
     use hpm_core::pattern::CommPattern;
     use hpm_stats::fault::DropProb;
@@ -459,6 +260,42 @@ mod tests {
         let params = xeon_cluster_params();
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
         (params, placement)
+    }
+
+    /// A lone recovering cold-start run at `(seed, rep)` under the fault
+    /// plan realized from the fault stream, as `measure_recovering` runs
+    /// its repetition `rep`.
+    #[allow(clippy::too_many_arguments)]
+    fn lone_recovering(
+        sim: &BarrierSim<'_>,
+        plan: &CompiledPattern,
+        goal: KnowledgeGoal,
+        fault: &FaultModel,
+        seed: u64,
+        rep: u64,
+        scratch: &mut SimScratch,
+        rs: &mut RecoveryScratch,
+    ) -> RecoveryReport {
+        let p = plan.p();
+        let fplan = FaultPlan::realize(fault, p, sim.placement.shape().nodes(), seed, rep);
+        let mut net = NetState::new(sim.placement);
+        let mut out = RecoveryReport::new(p);
+        sim.run_once_recovering_with(
+            plan,
+            &PayloadSchedule::none(),
+            goal,
+            fault,
+            &fplan,
+            &vec![0.0; p],
+            &mut net,
+            seed,
+            BARRIER_JITTER_LABEL,
+            rep,
+            scratch,
+            rs,
+            &mut out,
+        );
+        out
     }
 
     /// Crash-free faults (drops, stragglers, slow nodes) that every rank
@@ -485,28 +322,26 @@ mod tests {
         let mut rs = RecoveryScratch::new();
         for rep in 0..8u64 {
             net.reset();
-            let faulty = sim.run_once_faulty(
-                &plan,
-                &payload,
-                &fault,
-                &vec![0.0; p],
-                &mut net,
-                77,
-                crate::barrier::BARRIER_JITTER_LABEL,
-                rep,
-                &mut scratch,
-            );
+            let faulty = sim
+                .run_once(
+                    &plan,
+                    &payload,
+                    &fault,
+                    &vec![0.0; p],
+                    &mut net,
+                    77,
+                    BARRIER_JITTER_LABEL,
+                    rep,
+                    &mut scratch,
+                )
+                .clone();
             assert!(faulty.all_completed(), "rep {rep}: fixture must be clean");
-            net.reset();
-            let rec = sim.run_once_recovering(
+            let rec = lone_recovering(
+                &sim,
                 &plan,
-                &payload,
                 KnowledgeGoal::AllToAll,
                 &fault,
-                &vec![0.0; p],
-                &mut net,
                 77,
-                crate::barrier::BARRIER_JITTER_LABEL,
                 rep,
                 &mut scratch,
                 &mut rs,
@@ -543,7 +378,7 @@ mod tests {
             &vec![0.0; p],
             &mut net,
             5,
-            crate::barrier::BARRIER_JITTER_LABEL,
+            BARRIER_JITTER_LABEL,
             0,
             &mut scratch,
             &mut rs,
@@ -586,7 +421,7 @@ mod tests {
             &vec![0.0; p],
             &mut net,
             5,
-            crate::barrier::BARRIER_JITTER_LABEL,
+            BARRIER_JITTER_LABEL,
             0,
             &mut scratch,
             &mut rs,
@@ -629,20 +464,15 @@ mod tests {
             });
             assert_eq!(serial, par, "threads {threads}");
         }
-        let mut net = NetState::new(&placement);
         let mut scratch = SimScratch::new(&placement);
         let mut rs = RecoveryScratch::new();
         for (r, rep_report) in serial.iter().enumerate() {
-            net.reset();
-            let lone = sim.run_once_recovering(
+            let lone = lone_recovering(
+                &sim,
                 &plan,
-                &payload,
                 goal,
                 &fault,
-                &vec![0.0; p],
-                &mut net,
                 99,
-                crate::barrier::BARRIER_JITTER_LABEL,
                 r as u64,
                 &mut scratch,
                 &mut rs,

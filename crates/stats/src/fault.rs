@@ -322,8 +322,10 @@ impl DropStream {
 
 /// One repetition's realized faults: which ranks crash when, which
 /// nodes are slow or degraded, which ranks straggle — everything the
-/// executor needs, precomputed so the hot loop reads arrays.
-#[derive(Debug, Clone, PartialEq)]
+/// executor needs, precomputed so the hot loop reads arrays. The
+/// default is the neutral plan of zero ranks, sized by the first
+/// [`FaultPlan::realize_into`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Per-rank crash time; `f64::INFINITY` for surviving ranks.
     pub crash_time: Vec<f64>,

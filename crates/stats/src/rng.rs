@@ -7,15 +7,17 @@
 //! log-normal captures while keeping the median — the statistic the
 //! benchmarks extract — equal to the noise-free value.
 //!
-//! Two delivery mechanisms exist behind the one [`JitterSource`] trait:
+//! Two delivery mechanisms exist:
 //!
-//! * [`ScalarJitter`] — `StdRng` + [`JitterModel::draw`], for call sites
-//!   that draw occasionally (program compute times, one-shot runs). The
-//!   Box-Muller transform produces two normals per uniform pair; `draw`
-//!   caches the sine-branch output and serves it on the next call, so the
-//!   scalar path costs one transcendental set per *two* draws.
-//! * [`JitterBuf`] — a table of multipliers batch-filled from
-//!   counter-based [`crate::stream::SplitMix64`] uniform streams through
+//! * [`JitterModel::draw`] over a `StdRng`, for call sites that draw
+//!   occasionally as a program advances (BSPlib compute times, stencil
+//!   compute). The Box-Muller transform produces two normals per uniform
+//!   pair; `draw` caches the sine-branch output and serves it on the next
+//!   call, so the scalar path costs one transcendental set per *two*
+//!   draws.
+//! * [`JitterBuf`] — the simulator's engine: a table of multipliers
+//!   batch-filled from counter-based [`crate::stream::SplitMix64`]
+//!   uniform streams through
 //!   the tabulated quantile function
 //!   ([`crate::stream::LognormalQuantileTable`]), consumed by cursor.
 //!   This is the hot-path engine: the executor announces its exact draw
@@ -110,99 +112,6 @@ impl JitterModel {
             }
         };
         (self.sigma * z).exp()
-    }
-}
-
-/// A stream of jitter multipliers, as the message engine consumes them.
-///
-/// The simulator's timing loops are generic over this trait so the same
-/// executor code runs on the scalar `StdRng` path and on batch-filled
-/// tables; which one a caller picks decides the RNG draw-order contract
-/// (see DESIGN.md, "The jitter engine").
-pub trait JitterSource {
-    /// The next multiplier (1.0 exactly when jitter is disabled).
-    fn next_mult(&mut self) -> f64;
-}
-
-/// Scalar [`JitterSource`]: a [`JitterModel`] drawing from a borrowed
-/// RNG. The model is held by value, so the Box-Muller pair cache lives
-/// for this adapter's lifetime.
-///
-/// The adapter counts its `next_mult` calls (σ = 0 included — a draw
-/// *slot* is consumed even when the multiplier short-circuits to 1.0),
-/// so scalar executors can audit consumed-vs-planned draws against
-/// `CompiledPattern::jitter_draws` exactly like the batched
-/// [`JitterBuf`] path does.
-pub struct ScalarJitter<'a, R: Rng + ?Sized> {
-    model: JitterModel,
-    rng: &'a mut R,
-    drawn: usize,
-}
-
-impl<'a, R: Rng + ?Sized> ScalarJitter<'a, R> {
-    /// Adapter over a model copy and a borrowed RNG.
-    pub fn new(model: JitterModel, rng: &'a mut R) -> ScalarJitter<'a, R> {
-        ScalarJitter {
-            model,
-            rng,
-            drawn: 0,
-        }
-    }
-
-    /// Multiplier slots consumed since construction (or the last
-    /// [`ScalarJitter::reset_drawn`]).
-    pub fn drawn(&self) -> usize {
-        self.drawn
-    }
-
-    /// Rewinds the draw counter (the RNG itself keeps advancing) — one
-    /// audit window per repetition.
-    pub fn reset_drawn(&mut self) {
-        self.drawn = 0;
-    }
-}
-
-impl<R: Rng + ?Sized> JitterSource for ScalarJitter<'_, R> {
-    #[inline]
-    fn next_mult(&mut self) -> f64 {
-        self.drawn += 1;
-        self.model.draw(self.rng)
-    }
-}
-
-/// Pareto-tailed [`JitterSource`]: median-1 heavy-tailed multipliers
-/// served from a [`crate::stream::ParetoQuantileTable`] over a
-/// counter-based uniform stream — the straggler half of ROADMAP 5a,
-/// behind the same seam as the log-normal sources so any executor
-/// generic over [`JitterSource`] runs on Pareto noise unchanged.
-pub struct ParetoJitter {
-    table: crate::stream::ParetoQuantileTable,
-    stream: crate::stream::SplitMix64,
-    drawn: usize,
-}
-
-impl ParetoJitter {
-    /// Source with tail exponent `alpha` over the uniform stream
-    /// `(seed, label, rep)`.
-    pub fn new(alpha: f64, seed: u64, label: u64, rep: u64) -> ParetoJitter {
-        ParetoJitter {
-            table: crate::stream::ParetoQuantileTable::new(alpha),
-            stream: crate::stream::SplitMix64::from_parts(seed, label, rep),
-            drawn: 0,
-        }
-    }
-
-    /// Multipliers drawn since construction.
-    pub fn drawn(&self) -> usize {
-        self.drawn
-    }
-}
-
-impl JitterSource for ParetoJitter {
-    #[inline]
-    fn next_mult(&mut self) -> f64 {
-        self.drawn += 1;
-        self.table.mult(self.stream.next_unit_open())
     }
 }
 
@@ -311,6 +220,23 @@ impl JitterBuf {
         self.row
     }
 
+    /// The next multiplier of a single-lane fill (1.0 exactly while
+    /// inactive, without advancing).
+    #[inline]
+    pub fn next_mult(&mut self) -> f64 {
+        if !self.active {
+            return 1.0;
+        }
+        // A hard assert, like the bounds check below it: consuming a
+        // multi-lane fill element-wise would silently interleave lanes
+        // into a wrong-but-plausible stream, and the engine's contract
+        // is that plan/engine divergence cannot stay silent.
+        assert_eq!(self.lanes, 1, "scalar consumption needs a 1-lane fill");
+        let v = self.mults[self.row];
+        self.row += 1;
+        v
+    }
+
     /// The next `k` rows (`k·lanes` multipliers, draw-major). While
     /// inactive, returns ones without advancing.
     #[inline]
@@ -325,23 +251,6 @@ impl JitterBuf {
         let start = self.row * self.lanes;
         self.row += k;
         &self.mults[start..start + n]
-    }
-}
-
-impl JitterSource for JitterBuf {
-    #[inline]
-    fn next_mult(&mut self) -> f64 {
-        if !self.active {
-            return 1.0;
-        }
-        // A hard assert, like the bounds check below it: consuming a
-        // multi-lane fill element-wise would silently interleave lanes
-        // into a wrong-but-plausible stream, and the engine's contract
-        // is that plan/engine divergence cannot stay silent.
-        assert_eq!(self.lanes, 1, "scalar consumption needs a 1-lane fill");
-        let v = self.mults[self.row];
-        self.row += 1;
-        v
     }
 }
 
@@ -418,8 +327,7 @@ mod tests {
 
     /// Copying a model mid-pair duplicates the cache: both copies serve
     /// the same cached sine branch on their next draw. Copy a model
-    /// *before* drawing from it (as the adapters here do) if the
-    /// streams must be independent.
+    /// *before* drawing from it if the streams must be independent.
     #[test]
     fn copies_duplicate_the_pair_cache() {
         let mut jm = JitterModel::new(0.3);
@@ -439,51 +347,6 @@ mod tests {
         let mut rng = derive_rng(6, 6);
         let _ = a.draw(&mut rng);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn scalar_jitter_source_matches_model_draws() {
-        let mut rng_a = derive_rng(8, 1);
-        let mut rng_b = derive_rng(8, 1);
-        let mut model = JitterModel::new(0.1);
-        let mut src = ScalarJitter::new(JitterModel::new(0.1), &mut rng_b);
-        for _ in 0..10 {
-            assert_eq!(model.draw(&mut rng_a), src.next_mult());
-        }
-        assert_eq!(src.drawn(), 10);
-        src.reset_drawn();
-        assert_eq!(src.drawn(), 0);
-    }
-
-    /// The scalar draw counter counts slots, not RNG consumption: a
-    /// σ = 0 adapter still tallies every call, so the audit holds on
-    /// the noiseless path too.
-    #[test]
-    fn scalar_counter_counts_noiseless_slots() {
-        let mut rng = derive_rng(2, 2);
-        let mut src = ScalarJitter::new(JitterModel::NONE, &mut rng);
-        for _ in 0..7 {
-            assert_eq!(src.next_mult(), 1.0);
-        }
-        assert_eq!(src.drawn(), 7);
-    }
-
-    #[test]
-    fn pareto_jitter_is_deterministic_heavy_tailed_and_counted() {
-        let mut a = ParetoJitter::new(1.5, 21, 4, 0);
-        let mut b = ParetoJitter::new(1.5, 21, 4, 0);
-        let n = 50_000;
-        let draws: Vec<f64> = (0..n).map(|_| a.next_mult()).collect();
-        for &d in &draws {
-            assert_eq!(d.to_bits(), b.next_mult().to_bits());
-        }
-        assert_eq!(a.drawn(), n);
-        assert!(draws.iter().all(|&m| m > 0.0));
-        let med = median(&draws);
-        assert!((med - 1.0).abs() < 0.02, "median {med}");
-        // Heavy tail: the sample mean sits well above the median.
-        let mean = draws.iter().sum::<f64>() / n as f64;
-        assert!(mean > 1.5, "mean {mean}");
     }
 
     #[test]

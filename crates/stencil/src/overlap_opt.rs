@@ -32,6 +32,7 @@ use hpm_simnet::exchange::{
 use hpm_simnet::microbench::PlatformProfile;
 use hpm_simnet::net::NetState;
 use hpm_simnet::params::PlatformParams;
+use hpm_stats::fault::FaultModel;
 use hpm_stats::rng::{derive_rng, JitterBuf};
 use hpm_topology::Placement;
 
@@ -224,9 +225,10 @@ pub fn measure_ghost_width(
         );
         let exits: &[f64] = match &plan {
             Some(plan) => {
-                sim.run_once_batched(
+                sim.run_once(
                     plan,
                     &payload,
+                    &FaultModel::NONE,
                     &compute_done,
                     &mut net,
                     seed,

@@ -2,11 +2,12 @@
 //! zero heap allocations per repetition.
 //!
 //! A counting global allocator wraps the system allocator; the test warms
-//! up one `(NetState, SimScratch)` pair, snapshots the allocation
-//! counter, runs many full repetitions (including RNG derivation, the
-//! measurement loop's real per-item work) and asserts the counter did not
-//! move. This file holds exactly one test: integration-test binaries are
-//! one process each, so no concurrent test can pollute the counter.
+//! up one `(NetState, SimScratch)` pair and one `LaneScratch`, snapshots
+//! the allocation counter, runs many full repetitions (including the
+//! jitter-table fills, the measurement loop's real per-item work) and
+//! asserts the counter did not move. This file holds exactly one test:
+//! integration-test binaries are one process each, so no concurrent test
+//! can pollute the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,7 +46,6 @@ fn compiled_barrier_repetitions_allocate_nothing() {
     use hpm::simnet::batch::LaneScratch;
     use hpm::simnet::net::NetState;
     use hpm::simnet::params::xeon_cluster_params;
-    use hpm::stats::rng::{derive_rng, ScalarJitter};
     use hpm::topology::{cluster_8x2x4, Placement, PlacementPolicy};
 
     let params = xeon_cluster_params();
@@ -62,13 +62,9 @@ fn compiled_barrier_repetitions_allocate_nothing() {
         let mut net = NetState::new(&placement);
         let mut scratch = SimScratch::new(&placement);
         let mut lanes = LaneScratch::new();
-        // Warmup: one full repetition through every stage shape on each
-        // engine — scalar-jitter compiled, batch-filled scalar, and the
-        // 8-lane SoA executor (sizing jitter tables and lane buffers).
-        let mut rng = derive_rng(42, 0);
-        let mut jit = ScalarJitter::new(params.jitter, &mut rng);
-        let warm = sim.run_total_compiled(&plan, &payload, &mut jit, &mut net, &mut scratch);
-        assert!(warm > 0.0);
+        // Warmup: one full repetition through every stage shape at each
+        // kernel width — a single run and an 8-lane batch (sizing jitter
+        // tables and lane buffers).
         assert!(sim.run_total_batched(&plan, &payload, 42, 0, &mut net, &mut scratch) > 0.0);
         sim.run_batch_compiled(&plan, &payload, 42, 0, 8, &mut lanes);
 
@@ -82,10 +78,7 @@ fn compiled_barrier_repetitions_allocate_nothing() {
             let before = ALLOCATIONS.load(Ordering::SeqCst);
             let mut acc = 0.0;
             for rep in 0..64u64 {
-                let mut rng = derive_rng(42 + trial, rep);
-                let mut jit = ScalarJitter::new(params.jitter, &mut rng);
-                acc += sim.run_total_compiled(&plan, &payload, &mut jit, &mut net, &mut scratch);
-                // The batched engines refill their tables in place.
+                // Both widths refill their jitter tables in place.
                 acc +=
                     sim.run_total_batched(&plan, &payload, 42 + trial, rep, &mut net, &mut scratch);
                 for &t in sim.run_batch_compiled(&plan, &payload, trial, 8 * rep, 8, &mut lanes) {

@@ -52,8 +52,7 @@ fn faulty_and_recovering_repetitions_allocate_nothing() {
     use hpm::simnet::net::NetState;
     use hpm::simnet::params::xeon_cluster_params;
     use hpm::simnet::recovery::{RecoveryReport, RecoveryScratch};
-    use hpm::simnet::{FaultReport, FaultScratch};
-    use hpm::stats::fault::{DropProb, FaultModel};
+    use hpm::stats::fault::{DropProb, FaultModel, FaultPlan};
     use hpm::topology::{cluster_8x2x4, Placement, PlacementPolicy};
 
     let params = xeon_cluster_params();
@@ -76,10 +75,7 @@ fn faulty_and_recovering_repetitions_allocate_nothing() {
     faulty_model.validate();
     let mut net = NetState::new(&placement);
     let mut scratch = SimScratch::new(&placement);
-    let mut fs = FaultScratch::new();
-    let mut report = FaultReport::new(64);
-    net.reset();
-    sim.run_once_faulty_into(
+    let report = sim.run_once(
         &plan,
         &payload,
         &faulty_model,
@@ -89,8 +85,6 @@ fn faulty_and_recovering_repetitions_allocate_nothing() {
         BARRIER_JITTER_LABEL,
         0,
         &mut scratch,
-        &mut fs,
-        &mut report,
     );
     assert!(report.total().is_finite());
 
@@ -100,20 +94,19 @@ fn faulty_and_recovering_repetitions_allocate_nothing() {
         let mut acc = 0.0;
         for rep in 0..64u64 {
             net.reset();
-            sim.run_once_faulty_into(
-                &plan,
-                &payload,
-                &faulty_model,
-                &zeros,
-                &mut net,
-                7 + trial,
-                BARRIER_JITTER_LABEL,
-                rep,
-                &mut scratch,
-                &mut fs,
-                &mut report,
-            );
-            acc += report.total();
+            acc += sim
+                .run_once(
+                    &plan,
+                    &payload,
+                    &faulty_model,
+                    &zeros,
+                    &mut net,
+                    7 + trial,
+                    BARRIER_JITTER_LABEL,
+                    rep,
+                    &mut scratch,
+                )
+                .total();
         }
         let after = ALLOCATIONS.load(Ordering::SeqCst);
         assert!(acc.is_finite() && acc > 0.0);
@@ -126,7 +119,8 @@ fn faulty_and_recovering_repetitions_allocate_nothing() {
 
     // Recovering executor on the no-failure path: fault streams flow
     // (slow and degraded nodes) but no rank can crash or time out, so
-    // `finish_recovery` takes its clean early exit every repetition.
+    // recovery takes its clean early exit every repetition. The fault
+    // plan is realized in place, as `measure_recovering` does.
     let clean_model = FaultModel {
         slow_prob: 0.2,
         slow_mult: 1.5,
@@ -137,12 +131,15 @@ fn faulty_and_recovering_repetitions_allocate_nothing() {
     clean_model.validate();
     let mut rs = RecoveryScratch::new();
     let mut rec = RecoveryReport::new(64);
+    let nodes = placement.shape().nodes();
+    let mut fplan = FaultPlan::realize(&clean_model, 64, nodes, 7, 0);
     net.reset();
-    sim.run_once_recovering_into(
+    sim.run_once_recovering_with(
         &plan,
         &payload,
         KnowledgeGoal::AllToAll,
         &clean_model,
+        &fplan,
         &zeros,
         &mut net,
         7,
@@ -160,11 +157,13 @@ fn faulty_and_recovering_repetitions_allocate_nothing() {
         let mut acc = 0.0;
         for rep in 0..64u64 {
             net.reset();
-            sim.run_once_recovering_into(
+            fplan.realize_into(&clean_model, 64, nodes, 7 + trial, rep);
+            sim.run_once_recovering_with(
                 &plan,
                 &payload,
                 KnowledgeGoal::AllToAll,
                 &clean_model,
+                &fplan,
                 &zeros,
                 &mut net,
                 7 + trial,

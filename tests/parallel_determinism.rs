@@ -113,7 +113,7 @@ fn stress_fault_model() -> hpm::stats::fault::FaultModel {
 /// PR 9 acceptance: faulty runs are as deterministic as healthy ones.
 /// `measure_faulty` under a fully-loaded fault model is bit-identical at
 /// every thread count, and repetition `r` of the fan-out reproduces a
-/// lone `run_once_faulty` at `rep = r` exactly — worker grouping is
+/// lone faulty `run_once` at `rep = r` exactly — worker grouping is
 /// invisible, the same contract the healthy lane batching keeps.
 #[test]
 fn faulty_measure_bit_identical_across_thread_counts() {
@@ -152,7 +152,7 @@ fn faulty_measure_bit_identical_across_thread_counts() {
     let zeros = vec![0.0; p];
     for r in [0usize, 7, 31] {
         net.reset();
-        let lone = sim.run_once_faulty(
+        let lone = sim.run_once(
             &plan,
             &PayloadSchedule::none(),
             &fault,
@@ -163,7 +163,7 @@ fn faulty_measure_bit_identical_across_thread_counts() {
             r as u64,
             &mut scratch,
         );
-        assert_eq!(serial[r], lone, "rep {r}");
+        assert_eq!(&serial[r], lone, "rep {r}");
     }
     // Golden pin of the faulty exit stream (same platform gate as the
     // healthy goldens above: deep-tail draws route through libm `ln`).
