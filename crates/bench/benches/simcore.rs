@@ -1,12 +1,14 @@
 //! `simcore` — throughput of the flat simulation core, as a machine-
-//! readable perf-trajectory artifact.
+//! readable perf-trajectory artifact, and the workspace's only bench
+//! target.
 //!
-//! Unlike the criterion-style benches, this target measures the
-//! operations every experiment in this workspace funnels through —
-//! `BarrierSim::measure` (jittered and noiseless), the raw lane-parallel
-//! batch executor, `predict_barrier`/`predict_compiled` and the
-//! knowledge verifier — at p ∈ {16, 64}, and writes the ops/sec table to
-//! a JSON file CI archives as `BENCH_sim.json` next to `BENCH_repro.json`.
+//! It measures the operations every experiment in this workspace funnels
+//! through — `BarrierSim::measure` (jittered and noiseless), the raw
+//! lane-parallel batch executor, `predict_compiled` and the knowledge
+//! verifier — at p ∈ {16, 64}, plus the sparse scale path at
+//! p ∈ {256, 1024, 4096}, and writes one row per measurement with its
+//! own unit to a JSON file CI archives as `BENCH_sim.json` next to
+//! `BENCH_repro.json`.
 //!
 //! ```text
 //! cargo bench -p hpm-bench --bench simcore                      # full
@@ -14,13 +16,12 @@
 //! cargo bench -p hpm-bench --bench simcore -- --quick --check   # CI gate
 //! ```
 //!
-//! Three `measure` rows exist per process count:
+//! Three `measure` rows exist per process count, all in `reps/s`:
 //!
 //! * `measure_pP` — the default platform, jitter on (σ = 0.05), through
-//!   the public `measure` entry point. Since PR 5 this runs on the
-//!   batched jitter engine: per-repetition counter streams through the
-//!   tabulated log-normal quantile function, executed in SoA lanes —
-//!   the row the stochastic path's perf trajectory tracks.
+//!   the public `measure` entry point: per-repetition counter streams
+//!   through the tabulated log-normal quantile function, executed in SoA
+//!   lanes — the row the stochastic path's perf trajectory tracks.
 //! * `measure_batch_pP` — the same work through `run_batch_compiled`
 //!   directly (one `LaneScratch`, no fan-out machinery): the raw lane
 //!   executor's ceiling.
@@ -28,13 +29,19 @@
 //!   exactly 1.0, isolating the data path (CSR adjacency, SoA lanes,
 //!   scratch reuse). This row tracks the simulation core itself.
 //!
+//! `predict_pP` (`predictions/s`) and `verify_pP` (`verifications/s`) run
+//! on the plan compiled once. The scale rows are `scale_measure_pP` and
+//! `scale_engine_p1024` (`reps/s`), `scale_rel_err_pP` (predict-vs-sim
+//! relative error, unit `1`) and `placement_peak_bytes_pP` (peak heap
+//! while building the placement, `bytes`).
+//!
 //! All rows run single-threaded (`hpm_par` pinned to 1 worker) so the
 //! numbers are per-core throughput, comparable across machines with
 //! different core counts.
 //!
 //! `--check` is the bench-smoke regression gate: it fails (exit 1) when
 //! the jittered `measure` rows regress more than 30 % against the
-//! committed `baseline` block, after normalizing by the noiseless
+//! committed [`BASELINE`], after normalizing by the noiseless
 //! `measure_engine` row measured in the same run — the ratio
 //! jittered/noiseless cancels machine speed, so the gate is portable
 //! across runners while still catching regressions of the stochastic
@@ -53,7 +60,6 @@ use hpm_topology::{
     PlacementPolicy,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -110,58 +116,37 @@ fn throughput(window: f64, mut op: impl FnMut()) -> f64 {
     iters as f64 / t0.elapsed().as_secs_f64()
 }
 
+/// One output row: a rate (`reps/s`, `predictions/s`,
+/// `verifications/s`), a dimensionless ratio (`1`) or a size (`bytes`).
 struct Entry {
     id: String,
-    ops_per_sec: f64,
-    /// What one "op" is, for the reader of the JSON.
+    value: f64,
     unit: &'static str,
 }
 
-/// The committed reference block `--check` gates against: this PR's
-/// numbers on the machine that developed it (fixed provenance, not
-/// re-measured). The absolute values only compare on similar hardware;
-/// the check therefore uses the jittered/noiseless *ratios*, which
-/// transfer.
-const BASELINE_COMMIT: &str = "PR 5";
+fn row(id: String, value: f64, unit: &'static str) -> Entry {
+    Entry { id, value, unit }
+}
+
+/// The committed reference `--check` gates against: the jittered and
+/// noiseless `measure` rows on the machine that developed them (the
+/// p ∈ {16, 64} rows when the batched jitter engine landed, the p = 1024
+/// rows when the sparse scale path did; fixed provenance, never
+/// re-measured). Absolute values only compare on similar hardware, so the
+/// gate compares jittered/noiseless *ratios*, which transfer.
 const BASELINE: &[(&str, f64)] = &[
     ("measure_p16", 293625.0),
-    ("measure_batch_p16", 309785.0),
     ("measure_engine_p16", 1721322.0),
-    ("predict_p16", 1010264.0),
-    ("verify_p16", 891406.0),
     ("measure_p64", 54072.0),
-    ("measure_batch_p64", 54192.0),
     ("measure_engine_p64", 269485.0),
-    ("predict_p64", 235166.0),
-    ("verify_p64", 35002.0),
-];
-
-/// The jittered rows as PR 4 left them, measured on the same machine as
-/// [`BASELINE`] at commit 2896f65 (scalar `StdRng` Box-Muller per draw):
-/// the reference point of this PR's ≥ 4x stochastic-path acceptance
-/// criterion.
-const BASELINE_PR4_JITTERED: &[(&str, f64)] = &[
-    ("measure_p16", 73915.0),
-    ("measure_engine_p16", 1251048.0),
-    ("measure_p64", 12567.0),
-    ("measure_engine_p64", 196694.0),
-];
-
-/// The scale rows' committed reference (this PR's numbers on its
-/// development machine — same provenance rule as [`BASELINE`]). The
-/// `--check` gate holds the p = 1024 jittered/noiseless ratio within
-/// 30 % of this block's ratio, and caps the p = 4096 placement
-/// footprint so a dense pairwise structure (16.7 MB at that scale)
-/// cannot silently return.
-const BASELINE_SCALE_COMMIT: &str = "PR 7";
-const BASELINE_SCALE: &[(&str, f64)] = &[
     ("scale_measure_p1024", 2056.0),
     ("scale_engine_p1024", 11474.0),
 ];
 
 /// Upper bound on the p = 4096 placement's peak construction footprint:
 /// a generous linear allowance (cores, link map, node buckets, transient
-/// doubling), two orders of magnitude under the dense table.
+/// doubling), two orders of magnitude under the dense pairwise table
+/// (16.7 MB at that scale), so such a table cannot silently return.
 const PLACEMENT_PEAK_CAP_P4096: f64 = 2_000_000.0;
 
 fn main() {
@@ -192,11 +177,7 @@ fn main() {
         let ops = throughput(window, || {
             std::hint::black_box(sim.measure(&pattern, &payload, REPS, 42));
         });
-        entries.push(Entry {
-            id: format!("measure_p{p}"),
-            ops_per_sec: ops * REPS as f64,
-            unit: "barrier repetitions/sec, default jitter (batched engine)",
-        });
+        entries.push(row(format!("measure_p{p}"), ops * REPS as f64, "reps/s"));
 
         let plan = pattern.plan();
         let mut lanes = LaneScratch::new();
@@ -209,40 +190,32 @@ fn main() {
                 rep += LANES as u64;
             }
         });
-        entries.push(Entry {
-            id: format!("measure_batch_p{p}"),
-            ops_per_sec: ops * REPS as f64,
-            unit: "barrier repetitions/sec, default jitter, raw lane executor",
-        });
+        entries.push(row(
+            format!("measure_batch_p{p}"),
+            ops * REPS as f64,
+            "reps/s",
+        ));
 
         let engine = BarrierSim::new(&noiseless, &placement);
         let ops = throughput(window, || {
             std::hint::black_box(engine.measure(&pattern, &payload, REPS, 42));
         });
-        entries.push(Entry {
-            id: format!("measure_engine_p{p}"),
-            ops_per_sec: ops * REPS as f64,
-            unit: "barrier repetitions/sec, jitter off (data path only)",
-        });
+        entries.push(row(
+            format!("measure_engine_p{p}"),
+            ops * REPS as f64,
+            "reps/s",
+        ));
 
         let costs = CommCosts::uniform(p, 1e-7, 5e-7, 1e-6);
         let ops = throughput(window, || {
             std::hint::black_box(predict_compiled(&plan, &costs, &payload));
         });
-        entries.push(Entry {
-            id: format!("predict_p{p}"),
-            ops_per_sec: ops,
-            unit: "full-pattern predictions/sec (compiled once)",
-        });
+        entries.push(row(format!("predict_p{p}"), ops, "predictions/s"));
 
         let ops = throughput(window, || {
             std::hint::black_box(hpm_core::knowledge::verify_compiled(&plan));
         });
-        entries.push(Entry {
-            id: format!("verify_p{p}"),
-            ops_per_sec: ops,
-            unit: "knowledge verifications/sec (compiled once)",
-        });
+        entries.push(row(format!("verify_p{p}"), ops, "verifications/s"));
     }
 
     // Scale rows: the past-p² pipeline — sparse-authored dissemination
@@ -263,11 +236,8 @@ fn main() {
         let ops = throughput(window, || {
             std::hint::black_box(sim.measure_compiled(&plan, &payload, SCALE_REPS, 42));
         });
-        entries.push(Entry {
-            id: format!("scale_measure_p{p}"),
-            ops_per_sec: ops * SCALE_REPS as f64,
-            unit: "barrier repetitions/sec, default jitter, sparse-authored plan",
-        });
+        let reps = ops * SCALE_REPS as f64;
+        entries.push(row(format!("scale_measure_p{p}"), reps, "reps/s"));
 
         if p == 1024 {
             // The --check gate normalizes the p = 1024 scale row by its
@@ -276,11 +246,8 @@ fn main() {
             let ops = throughput(window, || {
                 std::hint::black_box(engine.measure_compiled(&plan, &payload, SCALE_REPS, 42));
             });
-            entries.push(Entry {
-                id: format!("scale_engine_p{p}"),
-                ops_per_sec: ops * SCALE_REPS as f64,
-                unit: "barrier repetitions/sec, jitter off, sparse-authored plan",
-            });
+            let reps = ops * SCALE_REPS as f64;
+            entries.push(row(format!("scale_engine_p{p}"), reps, "reps/s"));
         }
 
         let micro = MicrobenchConfig::quick().with_pair_sample(16);
@@ -288,21 +255,20 @@ fn main() {
         let costs = ClassCosts::new(&placement, profile);
         let meas = sim.measure_compiled(&plan, &payload, SCALE_REPS, 42).mean();
         let pred = predict_compiled_with(&plan, &costs, &payload).total;
-        entries.push(Entry {
-            id: format!("scale_rel_err_p{p}"),
-            ops_per_sec: (pred - meas) / meas,
-            unit: "predict-vs-sim relative error (dimensionless, not a rate)",
-        });
+        entries.push(row(
+            format!("scale_rel_err_p{p}"),
+            (pred - meas) / meas,
+            "1",
+        ));
 
-        entries.push(Entry {
-            id: format!("placement_peak_bytes_p{p}"),
-            ops_per_sec: placement_peak_bytes(shape, p) as f64,
-            unit: "peak heap bytes while constructing the placement (dimensionless)",
-        });
+        let peak = placement_peak_bytes(shape, p) as f64;
+        entries.push(row(format!("placement_peak_bytes_p{p}"), peak, "bytes"));
     }
 
     for e in &entries {
-        println!("{:<22} {:>14.0} ops/s  ({})", e.id, e.ops_per_sec, e.unit);
+        // Dimensionless rows are fractions; everything else is a count.
+        let digits = if e.unit == "1" { 4 } else { 0 };
+        println!("{:<26} {:>14.digits$} {}", e.id, e.value, e.unit);
     }
 
     if let Some(path) = json_path {
@@ -315,153 +281,82 @@ fn main() {
     }
 }
 
+/// The row `id` of a table of `(id, value)` pairs.
+fn lookup<'a>(rows: impl IntoIterator<Item = (&'a str, f64)>, id: &str) -> f64 {
+    rows.into_iter()
+        .find(|(k, _)| *k == id)
+        .unwrap_or_else(|| panic!("missing row {id}"))
+        .1
+}
+
 /// The `--check` gate: jittered `measure` throughput, normalized by the
 /// same run's noiseless row, must stay within 30 % of the committed
-/// baseline's ratio. Returns false (and prints the verdict) on failure.
+/// baseline's ratio, and the p = 4096 placement must stay under its
+/// footprint cap. Returns false (and prints the verdict) on failure.
 fn regression_check(entries: &[Entry]) -> bool {
-    let fresh = |id: &str| -> f64 {
-        entries
-            .iter()
-            .find(|e| e.id == id)
-            .unwrap_or_else(|| panic!("missing entry {id}"))
-            .ops_per_sec
-    };
-    let base = |id: &str| -> f64 {
-        BASELINE
-            .iter()
-            .find(|(k, _)| *k == id)
-            .unwrap_or_else(|| panic!("missing baseline {id}"))
-            .1
-    };
-    let scale_base = |id: &str| -> f64 {
-        BASELINE_SCALE
-            .iter()
-            .find(|(k, _)| *k == id)
-            .unwrap_or_else(|| panic!("missing scale baseline {id}"))
-            .1
-    };
+    let fresh = |id: &str| lookup(entries.iter().map(|e| (e.id.as_str(), e.value)), id);
+    let base = |id: &str| lookup(BASELINE.iter().copied(), id);
     let mut ok = true;
-    for p in [16usize, 64] {
-        let measure = format!("measure_p{p}");
-        let engine = format!("measure_engine_p{p}");
-        let fresh_ratio = fresh(&measure) / fresh(&engine);
-        let base_ratio = base(&measure) / base(&engine);
+    let mut verdict = |id: &str, pass: bool, detail: String| {
+        let word = if pass { "ok" } else { "REGRESSED" };
+        println!("check {id}: {detail} — {word}");
+        ok &= pass;
+    };
+    for (measure, engine) in [
+        ("measure_p16", "measure_engine_p16"),
+        ("measure_p64", "measure_engine_p64"),
+        ("scale_measure_p1024", "scale_engine_p1024"),
+    ] {
+        let fresh_ratio = fresh(measure) / fresh(engine);
+        let base_ratio = base(measure) / base(engine);
         let rel = fresh_ratio / base_ratio;
-        let verdict = if rel >= 0.70 { "ok" } else { "REGRESSED" };
-        println!(
-            "check {measure}: jittered/noiseless ratio {fresh_ratio:.4} vs baseline \
-             {base_ratio:.4} ({}% of baseline) — {verdict}",
+        let detail = format!(
+            "jittered/noiseless ratio {fresh_ratio:.4} vs baseline {base_ratio:.4} \
+             ({}% of baseline)",
             (rel * 100.0).round()
         );
-        ok &= rel >= 0.70;
+        verdict(measure, rel >= 0.70, detail);
     }
-    // The p = 1024 scale row, same machine-normalized ratio gate.
-    let fresh_ratio = fresh("scale_measure_p1024") / fresh("scale_engine_p1024");
-    let base_ratio = scale_base("scale_measure_p1024") / scale_base("scale_engine_p1024");
-    let rel = fresh_ratio / base_ratio;
-    let verdict = if rel >= 0.70 { "ok" } else { "REGRESSED" };
-    println!(
-        "check scale_measure_p1024: jittered/noiseless ratio {fresh_ratio:.4} vs baseline \
-         {base_ratio:.4} ({}% of baseline) — {verdict}",
-        (rel * 100.0).round()
-    );
-    ok &= rel >= 0.70;
     // The placement footprint cap: absolute bytes, portable across
     // machines (allocation sizes do not depend on CPU speed).
     let peak = fresh("placement_peak_bytes_p4096");
-    let verdict = if peak <= PLACEMENT_PEAK_CAP_P4096 {
-        "ok"
-    } else {
-        "REGRESSED"
-    };
-    println!(
-        "check placement_peak_bytes_p4096: {peak:.0} B vs cap \
-         {PLACEMENT_PEAK_CAP_P4096:.0} B — {verdict}"
+    let detail = format!("{peak:.0} B vs cap {PLACEMENT_PEAK_CAP_P4096:.0} B");
+    verdict(
+        "placement_peak_bytes_p4096",
+        peak <= PLACEMENT_PEAK_CAP_P4096,
+        detail,
     );
-    ok &= peak <= PLACEMENT_PEAK_CAP_P4096;
     if !ok {
         println!(
-            "jittered measure regressed >30% vs the committed {BASELINE_COMMIT}/\
-             {BASELINE_SCALE_COMMIT} baselines (machine-normalized), or the placement \
-             footprint blew its cap; see benches/simcore.rs"
+            "jittered measure regressed >30% vs the committed baseline \
+             (machine-normalized), or the placement footprint blew its cap; \
+             see benches/simcore.rs"
         );
     }
     ok
 }
 
+/// The rows as JSON array items, one per line.
+fn json_rows<'a>(rows: impl Iterator<Item = (&'a str, f64, &'a str)>) -> String {
+    let items: Vec<String> = rows
+        .map(|(id, v, unit)| {
+            format!("    {{\"id\": \"{id}\", \"value\": {v:.4}, \"unit\": \"{unit}\"}}")
+        })
+        .collect();
+    items.join(",\n")
+}
+
 fn write_json(path: &PathBuf, quick: bool, reps: usize, entries: &[Entry]) {
-    let block = |out: &mut String, pairs: &[(&str, f64)], indent: &str| {
-        for (k, (id, ops)) in pairs.iter().enumerate() {
-            let comma = if k + 1 < pairs.len() { "," } else { "" };
-            out.push_str(&format!(
-                "{indent}{{\"id\": \"{id}\", \"ops_per_sec\": {ops:.0}}}{comma}\n"
-            ));
-        }
-    };
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str("  \"threads\": 1,\n");
-    s.push_str(&format!("  \"reps_per_measure\": {reps},\n"));
-    s.push_str("  \"entries\": [\n");
-    for (k, e) in entries.iter().enumerate() {
-        let comma = if k + 1 < entries.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"id\": \"{}\", \"ops_per_sec\": {:.4}, \"unit\": \"{}\"}}{comma}\n",
-            e.id, e.ops_per_sec, e.unit
-        ));
-    }
-    s.push_str("  ],\n");
-    // The committed reference blocks, echoed into the artifact so the
-    // perf trajectory is self-describing. Fixed provenance, never
-    // re-measured here:
-    //  * `baseline` — this PR's numbers on its development machine; the
-    //    `--check` gate compares jittered/noiseless ratios against it.
-    //  * `baseline_pr4_jittered` — the jittered rows at commit 2896f65
-    //    (scalar per-draw RNG), same machine: the ≥ 4x reference of the
-    //    batched-jitter-engine PR.
-    //  * `baseline_pre_pr` — the flat-core refactor's reference at
-    //    commit 61b80a6 (dense IMat::dsts path, per-call buffers).
-    s.push_str("  \"baseline\": {\n");
-    s.push_str(&format!("    \"commit\": \"{BASELINE_COMMIT}\",\n"));
-    s.push_str("    \"entries\": [\n");
-    block(&mut s, BASELINE, "      ");
-    s.push_str("    ]\n");
-    s.push_str("  },\n");
-    s.push_str("  \"baseline_scale\": {\n");
-    s.push_str(&format!("    \"commit\": \"{BASELINE_SCALE_COMMIT}\",\n"));
-    s.push_str("    \"entries\": [\n");
-    block(&mut s, BASELINE_SCALE, "      ");
-    s.push_str("    ]\n");
-    s.push_str("  },\n");
-    s.push_str("  \"baseline_pr4_jittered\": {\n");
-    s.push_str("    \"commit\": \"2896f65\",\n");
-    s.push_str("    \"entries\": [\n");
-    block(&mut s, BASELINE_PR4_JITTERED, "      ");
-    s.push_str("    ]\n");
-    s.push_str("  },\n");
-    s.push_str("  \"baseline_pre_pr\": {\n");
-    s.push_str("    \"commit\": \"61b80a6\",\n");
-    s.push_str("    \"entries\": [\n");
-    block(
-        &mut s,
-        &[
-            ("measure_p16", 55314.0),
-            ("measure_engine_p16", 249268.0),
-            ("predict_p16", 157928.0),
-            ("verify_p16", 293858.0),
-            ("measure_p64", 7783.0),
-            ("measure_engine_p64", 20623.0),
-            ("predict_p64", 11816.0),
-            ("verify_p64", 17998.0),
-        ],
-        "      ",
+    let fresh = json_rows(entries.iter().map(|e| (e.id.as_str(), e.value, e.unit)));
+    // The gate's committed baseline rides along, so the artifact is
+    // self-describing.
+    let base = json_rows(BASELINE.iter().map(|&(id, v)| (id, v, "reps/s")));
+    let s = format!(
+        "{{\n  \"quick\": {quick},\n  \"threads\": 1,\n  \"reps_per_measure\": {reps},\n  \
+         \"entries\": [\n{fresh}\n  ],\n  \"baseline\": [\n{base}\n  ]\n}}\n"
     );
-    s.push_str("    ]\n");
-    s.push_str("  }\n");
-    s.push_str("}\n");
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir).expect("create json output dir");
     }
-    let mut f = std::fs::File::create(path).expect("create json report");
-    f.write_all(s.as_bytes()).expect("write json report");
+    std::fs::write(path, s).expect("write json report");
 }

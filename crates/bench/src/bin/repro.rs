@@ -38,7 +38,10 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--out" => {
-                out_dir = PathBuf::from(it.next().expect("--out needs a directory"));
+                out_dir = PathBuf::from(
+                    it.next()
+                        .unwrap_or_else(|| bad_arg("--out needs a directory")),
+                );
             }
             "--quick" => {
                 effort = Effort::quick();
@@ -53,21 +56,22 @@ fn main() {
                     effort = Effort::standard();
                     effort_name = "standard";
                 }
-                other => {
-                    eprintln!("--effort needs `quick` or `standard`, got {other:?}");
-                    std::process::exit(2);
-                }
+                other => bad_arg(&format!(
+                    "--effort needs `quick` or `standard`, got {other:?}"
+                )),
             },
             "--threads" => {
                 let n: usize = it
                     .next()
-                    .expect("--threads needs a count")
-                    .parse()
-                    .expect("--threads needs a positive integer");
+                    .and_then(|n| n.parse().ok())
+                    .unwrap_or_else(|| bad_arg("--threads needs a positive integer"));
                 hpm_par::set_threads(Some(n));
             }
             "--json" => {
-                json_path = Some(PathBuf::from(it.next().expect("--json needs a file path")));
+                json_path = Some(PathBuf::from(
+                    it.next()
+                        .unwrap_or_else(|| bad_arg("--json needs a file path")),
+                ));
             }
             "--check" => {
                 check = true;
@@ -282,6 +286,14 @@ fn write_json(path: &PathBuf, effort: &str, total: f64, timings: &[Timing]) {
     }
     let mut f = std::fs::File::create(path).expect("create json report");
     f.write_all(s.as_bytes()).expect("write json report");
+}
+
+/// Rejects a malformed command line: prints `msg` and the usage line,
+/// then exits 2.
+fn bad_arg(msg: &str) -> ! {
+    eprintln!("{msg}");
+    usage();
+    std::process::exit(2);
 }
 
 fn usage() {
